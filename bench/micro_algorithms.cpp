@@ -4,8 +4,9 @@
 // directly support its white-box attribution (methodology supplement).
 //
 // The backend rows time the dispatchable kernels (Kyber/Dilithium NTT,
-// Haraka permutation) under every compiled backend, and the batch rows
-// time encapsulate_batch / verify_batch against their sequential loops.
+// Haraka permutation) under every compiled backend, the hash rows time the
+// Keccak sponge and the TLS transcript hash, and the batch rows time
+// encapsulate_batch / verify_batch against their sequential loops.
 //
 //   micro_algorithms [--gate] [benchmark args...]
 //
@@ -16,6 +17,7 @@
 // smoke-backend speedup step.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -24,8 +26,10 @@
 #include "crypto/backend/kernels.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/keccak.hpp"
 #include "kem/kem.hpp"
 #include "sig/sig.hpp"
+#include "tls/key_schedule.hpp"
 
 namespace {
 
@@ -117,6 +121,47 @@ void bm_haraka512(benchmark::State& state,
   for (auto _ : state) {
     kernels->permute512(s, rc.data());
     benchmark::DoNotOptimize(s[0]);
+  }
+}
+
+// ---- hash rows: Keccak sponge in both directions, TLS transcript hash ----
+
+void bm_shake128_squeeze(benchmark::State& state, std::size_t out_len) {
+  Drbg rng(12);
+  Bytes seed = rng.bytes(34);  // rho || i || j, as in Kyber's matrix expansion
+  Bytes out(out_len);
+  for (auto _ : state) {
+    pqtls::crypto::Shake xof(128);
+    xof.absorb(seed);
+    xof.squeeze(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out_len));
+}
+
+void bm_shake256_absorb(benchmark::State& state, std::size_t in_len) {
+  Drbg rng(13);
+  Bytes in = rng.bytes(in_len);
+  for (auto _ : state) {
+    Bytes digest = pqtls::crypto::shake256(in, 32);
+    benchmark::DoNotOptimize(digest.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(in_len));
+}
+
+// One transcript_hash() call on a schedule already holding `len` bytes of
+// handshake messages (a dilithium3 full handshake is ~13 KB).
+void bm_transcript_hash(benchmark::State& state, std::size_t len) {
+  Drbg rng(14);
+  pqtls::tls::KeySchedule ks;
+  for (std::size_t fed = 0; fed < len; fed += 1024)
+    ks.update_transcript(rng.bytes(std::min<std::size_t>(1024, len - fed)));
+  for (auto _ : state) {
+    Bytes th = ks.transcript_hash();
+    benchmark::DoNotOptimize(th.data());
   }
 }
 
@@ -212,6 +257,16 @@ struct Registrar {
                                    backend::detail::haraka_aesni())
           ->MinTime(0.05);
     }
+
+    benchmark::RegisterBenchmark("keccak/shake128_squeeze_4k",
+                                 bm_shake128_squeeze, std::size_t{4096})
+        ->MinTime(0.05);
+    benchmark::RegisterBenchmark("keccak/shake256_absorb_16k",
+                                 bm_shake256_absorb, std::size_t{16384})
+        ->MinTime(0.05);
+    benchmark::RegisterBenchmark("tls/transcript_hash_16k", bm_transcript_hash,
+                                 std::size_t{16384})
+        ->MinTime(0.05);
 
     // Batched server ops against their sequential equivalents (batch 1).
     const pqtls::kem::Kem* kyber = catalog.require_kem("kyber768").kem;

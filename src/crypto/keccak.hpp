@@ -14,6 +14,7 @@ class KeccakSponge {
   KeccakSponge(std::size_t rate_bytes, std::uint8_t domain)
       : rate_(rate_bytes), domain_(domain) {}
 
+  /// Throws std::logic_error once squeezing has begun.
   void absorb(BytesView data);
   /// Switch to squeezing (idempotent); then produce output incrementally.
   void squeeze(std::uint8_t* out, std::size_t len);
@@ -42,9 +43,8 @@ Bytes sha3_512(BytesView data);
 /// Incremental SHAKE XOF.
 class Shake {
  public:
-  /// bits must be 128 or 256.
-  explicit Shake(int bits)
-      : sponge_(bits == 128 ? 168 : 136, 0x1f) {}
+  /// bits must be 128 or 256; anything else throws std::invalid_argument.
+  explicit Shake(int bits);
   void absorb(BytesView data) { sponge_.absorb(data); }
   void squeeze(std::uint8_t* out, std::size_t len) { sponge_.squeeze(out, len); }
   Bytes squeeze(std::size_t len) { return sponge_.squeeze(len); }

@@ -1,6 +1,10 @@
 #include "crypto/sha2.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <stdexcept>
+
+#include "crypto/ct.hpp"
 
 namespace pqtls::crypto {
 
@@ -206,14 +210,22 @@ namespace {
 
 template <typename Hash>
 Bytes hmac_impl(BytesView key, BytesView data, std::size_t block_size) {
-  Bytes k(key.begin(), key.end());
-  if (k.size() > block_size) {
+  // Every buffer below carries key material (PRKs, traffic secrets and
+  // finished keys in the TLS key schedule); wipe them all on exit.
+  Bytes k(block_size, 0);  // CT_SECRET: k
+  ct::Wiper k_guard(k);
+  if (key.size() > block_size) {
     Hash h;
-    h.update(k);
-    k = h.finish();
+    h.update(key);
+    Bytes hashed_key = h.finish();  // CT_SECRET: hashed_key
+    ct::Wiper hashed_guard(hashed_key);
+    std::copy(hashed_key.begin(), hashed_key.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
   }
-  k.resize(block_size, 0);
-  Bytes ipad(block_size), opad(block_size);
+  Bytes ipad(block_size), opad(block_size);  // CT_SECRET: ipad, opad
+  ct::Wiper ipad_guard(ipad);
+  ct::Wiper opad_guard(opad);
   for (std::size_t i = 0; i < block_size; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
@@ -221,7 +233,8 @@ Bytes hmac_impl(BytesView key, BytesView data, std::size_t block_size) {
   Hash inner;
   inner.update(ipad);
   inner.update(data);
-  Bytes inner_digest = inner.finish();
+  Bytes inner_digest = inner.finish();  // CT_SECRET: inner_digest
+  ct::Wiper inner_guard(inner_digest);
   Hash outer;
   outer.update(opad);
   outer.update(inner_digest);
@@ -250,6 +263,10 @@ Bytes hkdf_extract_sha256(BytesView salt, BytesView ikm) {
 }
 
 Bytes hkdf_expand_sha256(BytesView prk, BytesView info, std::size_t length) {
+  // RFC 5869 2.3: L <= 255 * HashLen, so the one-byte block counter never
+  // wraps.
+  if (length > 255 * Sha256::kDigestSize)
+    throw std::invalid_argument("hkdf_expand_sha256: length > 255 * 32");
   Bytes okm;
   Bytes t;
   std::uint8_t counter = 1;

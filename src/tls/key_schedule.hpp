@@ -30,6 +30,7 @@ class KeySchedule {
 
   /// Feed handshake messages (header + body) into the transcript.
   void update_transcript(BytesView message);
+  /// SHA-256 of every message fed so far; O(1) in the transcript length.
   Bytes transcript_hash() const;
 
   /// HelloRetryRequest transcript surgery (RFC 8446 4.4.1): replace the
@@ -87,8 +88,7 @@ class KeySchedule {
   void wipe_handshake_secrets();
 
  private:
-  crypto::Sha256 transcript_;
-  Bytes transcript_snapshot_;  // running raw transcript (for re-hash)
+  crypto::Sha256 transcript_;  // running hash over every handshake message
   Bytes handshake_secret_;     // CT_SECRET
   Bytes master_secret_;        // CT_SECRET
   Bytes client_hs_, server_hs_;    // CT_SECRET: client_hs_, server_hs_

@@ -70,9 +70,10 @@ void bm_dispatch_function(benchmark::State& state) {
   Counter counter;
   std::uint64_t jitter = 0x9e3779b97f4a7c15ull;
   std::uint64_t seq = 0;
-  // The captures mirror a classic-engine call site ([this, id, t, resumed,
-  // ...]): more than two words, so every push heap-allocates the closure
-  // (std::function's small-buffer optimization holds only 16 bytes).
+  // The captures mirror a typical EventLoop call site ([this, id, t,
+  // resumed, ...]): more than two words, so every push heap-allocates the
+  // closure (std::function's small-buffer optimization holds only 16
+  // bytes).
   auto make = [&counter](std::uint64_t arg) {
     double deadline = static_cast<double>(arg);
     std::uint64_t id = arg ^ 0xdeadbeef;

@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "crypto/backend/backend.hpp"
+#include "loadgen/fleet.hpp"
 #include "trace/trace.hpp"
 
 namespace pqtls::campaign {
@@ -81,7 +82,7 @@ CellOutcome run_cell(const CampaignSpec& spec, const Cell& cell,
   auto t0 = std::chrono::steady_clock::now();
   try {
     if (out.cell.loadgen) {
-      out.load = loadgen::run_load(*out.cell.loadgen);
+      out.load = loadgen::run_fleet(*out.cell.loadgen);
       if (!out.load.ok) out.error = "no handshake completed in the window";
     } else {
       out.result = testbed::run_experiment(config);

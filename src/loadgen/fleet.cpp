@@ -1,17 +1,18 @@
-// Fleet engine: the multi-server generalization of the classic loadgen
-// Engine (loadgen.cpp), rebuilt on the sharded discrete-event core. The
-// model is an actor system — one *frontend* actor (arrival processes,
-// client churn, the balancer and its stale outstanding-connection mirror)
-// plus one actor per server (accept queue, K cores, and the per-class
-// client-side pipes of every connection it was handed). All cross-actor
-// influence travels with at least one client link delay, which is exactly
-// the sharded loop's lookahead, so results are bit-identical at any shard
-// count (DESIGN.md §6f).
+// The load engine, built on the sharded discrete-event core. The model is
+// an actor system — one *frontend* actor (arrival processes, client churn,
+// the balancer and its stale outstanding-connection mirror) plus one actor
+// per server (accept queue, K cores, and the per-class client-side pipes of
+// every connection it was handed). All cross-actor influence travels with
+// at least one client link delay, which is exactly the sharded loop's
+// lookahead, so results are bit-identical at any shard count (DESIGN.md
+// §6f).
 #include "loadgen/fleet.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <set>
@@ -21,7 +22,6 @@
 
 #include "analysis/stats.hpp"
 #include "crypto/drbg.hpp"
-#include "loadgen/model.hpp"
 #include "net/packet.hpp"
 #include "sim/sharded_loop.hpp"
 #include "trace/trace.hpp"
@@ -31,10 +31,62 @@ namespace pqtls::loadgen {
 namespace {
 
 using crypto::Drbg;
-using model::Job;
-using model::JobOrder;
-using model::Payloads;
-using model::TimeAvg;
+
+double exp_sample(Drbg& rng, double mean) {
+  if (mean <= 0) return 0;
+  // rng.real() is in [0, 1), so the argument of log1p stays in (-1, 0].
+  return -std::log1p(-rng.real()) * mean;
+}
+
+/// A handshake CPU step waiting for (or holding) a server core.
+struct Job {
+  std::uint32_t conn = 0;
+  double cost = 0;
+  std::uint64_t seq = 0;  // admission order; FIFO key and SJF tie-break
+  bool final_stage = false;
+};
+
+struct JobOrder {
+  bool sjf;
+  bool operator()(const Job& a, const Job& b) const {
+    if (sjf && a.cost != b.cost) return a.cost < b.cost;
+    return a.seq < b.seq;
+  }
+};
+
+/// Time-weighted average of a piecewise-constant quantity over the
+/// measurement window [t0, t1): call advance(now, value_held_since_last)
+/// immediately before every change of the quantity.
+struct TimeAvg {
+  double t0 = 0, t1 = 0;
+  double last = 0, integral = 0;
+
+  void advance(double now, double value) {
+    double a = std::clamp(last, t0, t1);
+    double b = std::clamp(now, t0, t1);
+    integral += value * (b - a);
+    last = now;
+  }
+  double mean() const { return t1 > t0 ? integral / (t1 - t0) : 0; }
+};
+
+/// Per-profile flight payload sizes: reproduce the calibrated per-direction
+/// wire volume across the handshake's packets (SYN/SYN-ACK and each
+/// flight's own frame carry net::kFrameOverhead).
+struct Payloads {
+  std::size_t ch = 0, fin = 0, flight = 0;
+
+  explicit Payloads(const HandshakeProfile& profile) {
+    std::size_t up = profile.client_bytes;
+    std::size_t overhead = 2 * net::kFrameOverhead + kFinishedWire;
+    ch = up > overhead + 64 ? up - overhead : 64;
+    fin = kFinishedWire - net::kFrameOverhead;
+    std::size_t down = profile.server_bytes;
+    flight = down > 2 * net::kFrameOverhead + 64
+                 ? down - 2 * net::kFrameOverhead
+                 : 64;
+  }
+};
 
 // Mirrors net::Link's line-rate default (rate_bps = 0 means the paper's
 // 10 Gbit/s fiber).
@@ -158,6 +210,8 @@ class FleetEngine {
         balancer_(make_balancer(config.balancer, master_.fork("balancer"))),
         full_pay_(profile),
         resumed_pay_(resumed ? *resumed : profile) {
+    if (!std::isfinite(config_.duration_s) || config_.duration_s <= 0)
+      throw std::invalid_argument("loadgen: duration must be > 0");
     if (config_.servers < 1)
       throw std::invalid_argument("loadgen: servers must be >= 1");
     build_classes();
@@ -192,7 +246,7 @@ class FleetEngine {
                                          : config_.offered_rate;
       if (offered_ <= 0)
         throw std::invalid_argument("loadgen: offered rate must be > 0");
-      double at = model::exp_sample(arrival_rng_, 1.0 / offered_);
+      double at = exp_sample(arrival_rng_, 1.0 / offered_);
       if (at < t1_) to_frontend(0, at, Op::kOpenArrive, 0);
     } else {
       if (config_.clients < 1 && config_.churn_rate <= 0)
@@ -201,13 +255,13 @@ class FleetEngine {
         Client cl;
         cl.cls = draw_class();
         clients_.push_back(cl);
-        double at = model::exp_sample(think_rng_, config_.think_s);
+        double at = exp_sample(think_rng_, config_.think_s);
         if (at < t1_)
           to_frontend(0, at, Op::kRetry, static_cast<std::uint64_t>(i));
       }
     }
     if (config_.churn_rate > 0) {
-      double at = model::exp_sample(churn_rng_, 1.0 / config_.churn_rate);
+      double at = exp_sample(churn_rng_, 1.0 / config_.churn_rate);
       if (at < t1_) to_frontend(0, at, Op::kChurnArrive, 0);
     }
     double horizon = t1_ + config_.timeout_s + 5.0;
@@ -262,8 +316,7 @@ class FleetEngine {
 
   // The testbed's deterministic resumption interleaving (see LoadConfig);
   // applied to the global connection id for open-loop arrivals and the
-  // fixed closed-loop pool (warm ticket caches — the classic engine's rule,
-  // which the servers=1 reduction must reproduce), and to the per-client
+  // fixed closed-loop pool (warm ticket caches), and to the per-client
   // connection count for churn clients (a fresh arrival has no ticket, so
   // its first connection never resumes).
   bool resume_interleave(std::uint64_t j) const {
@@ -328,8 +381,7 @@ class FleetEngine {
     switch (op) {
       case Op::kOpenArrive: {
         start_connection(-1, now);
-        double next =
-            now + model::exp_sample(arrival_rng_, 1.0 / offered_);
+        double next = now + exp_sample(arrival_rng_, 1.0 / offered_);
         if (next < t1_) to_frontend(now, next, Op::kOpenArrive, 0);
         return;
       }
@@ -340,13 +392,12 @@ class FleetEngine {
         cl.cls = draw_class();
         cl.churn = true;
         cl.depart_at =
-            now + model::exp_sample(churn_life_rng_,
-                                    config_.churn_lifetime_s);
+            now + exp_sample(churn_life_rng_, config_.churn_lifetime_s);
         clients_.push_back(cl);
         if (in_window(now)) ++churn_arrived_;
         start_connection(static_cast<int>(c), now);
         double next =
-            now + model::exp_sample(churn_rng_, 1.0 / config_.churn_rate);
+            now + exp_sample(churn_rng_, 1.0 / config_.churn_rate);
         if (next < t1_) to_frontend(now, next, Op::kChurnArrive, 0);
         return;
       }
@@ -369,8 +420,7 @@ class FleetEngine {
         auto server = static_cast<std::size_t>(rest >> 24);
         --outstanding_[server];
         if (client != kOpenClient) {
-          double at =
-              now + model::exp_sample(think_rng_, config_.think_s);
+          double at = now + exp_sample(think_rng_, config_.think_s);
           if (at < t1_) to_frontend(now, at, Op::kRetry, client);
         }
         return;
@@ -409,10 +459,9 @@ class FleetEngine {
     // per-(server, class) pipe mirror: the server actor owns the shared
     // uplink only from the SYN-ACK on, and a conservative handoff cannot
     // consult server state without waiting out the lookahead. At line rate
-    // the two pipes never contend, so the split is exact (the classic
-    // engine's single shared link gives the same timings); heavily
-    // rate-limited classes see SYNs serialized apart from the
-    // ClientHello/Finished frames.
+    // the two pipes never contend, so the split is exact (one shared
+    // uplink would give the same timings); heavily rate-limited classes
+    // see SYNs serialized apart from the ClientHello/Finished frames.
     double txe =
         tx_end(syn_free_[static_cast<std::size_t>(s) * classes_.size() + cls],
                now, net::kFrameOverhead, ci.rate);

@@ -1,13 +1,16 @@
 // Load-generation subsystem: a discrete-event, multi-connection capacity
-// model for a PQ-TLS server under concurrent handshake load. The paper's
+// model for PQ-TLS servers under concurrent handshake load. The paper's
 // white-box throughput (Table 3) extrapolates a single-connection rate
-// (1/mean_cycle); this module instead models what a K-core server does when
+// (1/mean_cycle); this module instead models what K-core servers do when
 // many handshakes arrive at once: crypto steps are charged from
-// perf::CostModel onto a contended run queue, so queueing delay, tail
+// perf::CostModel onto contended run queues, so queueing delay, tail
 // latency, accept-queue overflow, and client abandonment emerge naturally.
-// Everything runs in virtual time on sim::EventLoop with explicit seeds —
-// results are bit-reproducible at any campaign worker count (DESIGN.md
-// section 6c).
+// This header holds the configuration, the calibrated per-handshake
+// profile and the metrics; the one engine that runs a configuration is
+// run_fleet() in loadgen/fleet.hpp (M servers behind a balancer; the
+// default M = 1). Everything runs in virtual time with explicit seeds —
+// results are bit-reproducible at any campaign worker or shard count
+// (DESIGN.md sections 6c and 6f).
 #pragma once
 
 #include <cstddef>
@@ -110,13 +113,13 @@ struct LoadConfig {
   /// server flight, modeling a server that runs same-key encapsulations in
   /// batches of this size (kem::Kem::encapsulate_batch). 1 (the default)
   /// charges the unbatched cost exactly — bit-identical profiles. Purely a
-  /// cost-model knob; it does not engage the fleet engine.
+  /// cost-model knob; it adds no fleet columns to a row.
   int batch = 1;
 
   // ---- fleet extensions (DESIGN.md §6f) ----
-  // Any non-default value below routes run_load() to the fleet engine
-  // (see is_fleet()); the defaults keep the classic single-server engine
-  // and its byte-identical golden rows.
+  // The defaults describe one server with one client class; any
+  // non-default value below makes the config fleet-shaped (see
+  // is_fleet()), so its rows carry the fleet columns.
 
   /// Number of servers behind the balancer, each with `cores` cores and
   /// its own `backlog` accept queue.
@@ -138,13 +141,20 @@ struct LoadConfig {
   /// report slo_ms and a within_slo verdict against it.
   double slo_s = 0.05;
 
-  /// True when any fleet-only feature is engaged; run_load() then uses the
-  /// sharded fleet engine instead of the classic single-server engine.
+  /// True when any fleet-only feature is engaged. Decides only the row
+  /// shape, never the engine (every config runs on run_fleet): campaign
+  /// rows (campaign/sinks.cpp) carry the fleet columns and pqtls_loadgen
+  /// prints its fleet summary lines for such configs.
   bool is_fleet() const {
     return servers > 1 || balancer != BalancerKind::kRoundRobin ||
            shards > 1 || churn_rate > 0 || !client_classes.empty();
   }
 };
+
+/// Uplink wire budget attributed to the client Finished flight (sealed
+/// Finished record plus its ACK frames); the rest of the calibrated client
+/// volume travels with the SYN and the ClientHello flight.
+constexpr std::size_t kFinishedWire = 200;
 
 /// Per-handshake work profile: wire volumes calibrated from one modeled
 /// testbed handshake (real tls::Connection over simulated TCP), CPU step
@@ -209,20 +219,14 @@ struct LoadMetrics {
   std::size_t client_bytes = 0;    // per handshake, from the profile
   std::size_t server_bytes = 0;
 
-  // ---- fleet extensions (zero under the classic single-server engine,
-  // except sim_events, which both engines report) ----
+  // ---- fleet extensions: filled on every run, but written to rows only
+  // for fleet-shaped configs (LoadConfig::is_fleet()), except sim_events,
+  // which no row carries. Churn counters stay zero without churn. ----
   long long sim_events = 0;     // discrete events the simulation processed
   double min_server_util = 0;   // least/most utilized server in the fleet
   double max_server_util = 0;
   long long churn_arrived = 0;  // churn clients that joined in the window
   long long churn_departed = 0;
 };
-
-/// Simulate one load configuration to completion and report metrics.
-/// Deterministic: depends only on the config (including seeds). Dispatches
-/// to the fleet engine when config.is_fleet(); the default config class
-/// runs the classic single-server engine unchanged, so existing golden
-/// rows are byte-identical by construction.
-LoadMetrics run_load(const LoadConfig& config);
 
 }  // namespace pqtls::loadgen

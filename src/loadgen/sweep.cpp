@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "loadgen/fleet.hpp"
+
 namespace pqtls::loadgen {
 
 SweepResult run_sweep(const LoadConfig& base, const SweepOptions& options) {
@@ -30,7 +32,7 @@ SweepResult run_sweep(const LoadConfig& base, const SweepOptions& options) {
                  std::pow(static_cast<double>(std::max(1, base.clients)),
                           frac))));
     }
-    point.metrics = run_load(point.config);
+    point.metrics = run_fleet(point.config);
 
     const LoadMetrics& m = point.metrics;
     double loss =

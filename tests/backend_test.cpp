@@ -26,6 +26,7 @@
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
 #include "loadgen/balancer.hpp"
+#include "loadgen/fleet.hpp"
 #include "loadgen/loadgen.hpp"
 #include "perf/cost_model.hpp"
 
@@ -478,14 +479,14 @@ TEST(BatchOps, LoadgenBatchRaisesCapacity) {
   config.duration_s = 1.0;
   config.warmup_s = 0.25;
 
-  loadgen::LoadMetrics base = loadgen::run_load(config);
+  loadgen::LoadMetrics base = loadgen::run_fleet(config);
   ASSERT_TRUE(base.ok);
   config.batch = 8;
-  loadgen::LoadMetrics batched = loadgen::run_load(config);
+  loadgen::LoadMetrics batched = loadgen::run_fleet(config);
   ASSERT_TRUE(batched.ok);
   // Amortized encaps shrinks the server flight, so the analytic capacity
-  // bound strictly rises; batch is a pure cost-model knob, so the engine
-  // still ran the classic single-server path.
+  // bound strictly rises; batch is a pure cost-model knob, so the row
+  // gains no fleet columns.
   EXPECT_GT(batched.analytic_capacity, base.analytic_capacity);
   EXPECT_FALSE(config.is_fleet());
 }

@@ -16,6 +16,7 @@
 #include "campaign/sinks.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "loadgen/fleet.hpp"
 #include "loadgen/loadgen.hpp"
 #include "pki/merkle.hpp"
 #include "testbed/testbed.hpp"
@@ -324,17 +325,17 @@ TEST(CertChainLoadgen, RunLoadHonoursChainKnobs) {
   cfg.load_factor = 0.5;
   cfg.duration_s = 2.0;
   cfg.warmup_s = 0.25;
-  loadgen::LoadMetrics plain = loadgen::run_load(cfg);
+  loadgen::LoadMetrics plain = loadgen::run_fleet(cfg);
   ASSERT_TRUE(plain.ok);
 
   cfg.chain_profile = pki::ChainProfile{"int2", "", {"dilithium2",
                                                      "dilithium2"}};
-  loadgen::LoadMetrics deep = loadgen::run_load(cfg);
+  loadgen::LoadMetrics deep = loadgen::run_fleet(cfg);
   ASSERT_TRUE(deep.ok);
   EXPECT_GT(deep.server_bytes, plain.server_bytes);
 
   cfg.cert_mode = tls::CertMode::kMerkle;
-  loadgen::LoadMetrics merkle = loadgen::run_load(cfg);
+  loadgen::LoadMetrics merkle = loadgen::run_fleet(cfg);
   ASSERT_TRUE(merkle.ok);
   EXPECT_LT(merkle.server_bytes, deep.server_bytes);
 }

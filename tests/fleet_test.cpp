@@ -1,6 +1,6 @@
-// Fleet engine (DESIGN.md §6f): balancer seam, shard-count invariance,
-// reduction to the classic single-server engine, NaN-safe percentiles,
-// trace hooks, and the `fleet` campaign's golden rows.
+// Load engine (DESIGN.md §6f): balancer seam, shard-count invariance,
+// pinned single-server rows, NaN-safe percentiles, trace hooks, and the
+// `fleet` campaign's golden rows.
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -129,6 +129,15 @@ std::string jsonl_row(const loadgen::LoadConfig& config,
   return out.str();
 }
 
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(PQTLS_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << name;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 TEST(FleetShardInvariance, ByteIdenticalJsonlAt1And4Shards) {
   loadgen::LoadConfig config;
   config.ka = "kyber512";
@@ -158,50 +167,44 @@ TEST(FleetShardInvariance, ByteIdenticalJsonlAt1And4Shards) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduction: servers=1 + round-robin + 1 shard through the fleet engine is
-// the classic single-server model — same row, byte for byte.
+// Single-server rows: one server, round-robin, one shard — the shape of
+// every loadgen campaign cell. The golden rows were rendered by the former
+// dedicated single-server engine, so this locks its behaviour contract:
+// open-loop Poisson, and closed-loop with session resumption.
 
-TEST(FleetReduction, SingleServerRoundRobinMatchesClassicEngine) {
-  loadgen::LoadConfig config;
-  config.ka = "kyber512";
-  config.sa = "dilithium2";
-  config.cores = 2;
-  config.offered_rate = 800;
-  config.duration_s = 2.0;
-  config.warmup_s = 0.25;
-  ASSERT_FALSE(config.is_fleet());
+TEST(FleetSingleServer, RowsMatchPinnedGolden) {
+  loadgen::LoadConfig poisson;
+  poisson.ka = "kyber512";
+  poisson.sa = "dilithium2";
+  poisson.cores = 2;
+  poisson.offered_rate = 800;
+  poisson.duration_s = 2.0;
+  poisson.warmup_s = 0.25;
 
-  auto classic = loadgen::run_load(config);  // dispatches to the classic engine
-  auto fleet = loadgen::run_fleet(config);
-  ASSERT_TRUE(classic.ok);
-  EXPECT_EQ(jsonl_row(config, classic), jsonl_row(config, fleet));
-  EXPECT_EQ(classic.arrivals, fleet.arrivals);
-  EXPECT_EQ(classic.completed, fleet.completed);
-  EXPECT_EQ(classic.dropped, fleet.dropped);
-  EXPECT_EQ(classic.timed_out, fleet.timed_out);
-}
+  loadgen::LoadConfig closed;
+  closed.ka = "x25519";
+  closed.sa = "rsa:2048";
+  closed.arrival = loadgen::Arrival::kClosed;
+  closed.clients = 32;
+  closed.cores = 2;
+  closed.duration_s = 2.0;
+  closed.warmup_s = 0.25;
+  closed.resumption_ratio = 0.5;
 
-TEST(FleetReduction, ClosedLoopAlsoReduces) {
-  loadgen::LoadConfig config;
-  config.ka = "x25519";
-  config.sa = "rsa:2048";
-  config.arrival = loadgen::Arrival::kClosed;
-  config.clients = 32;
-  config.cores = 2;
-  config.duration_s = 2.0;
-  config.warmup_s = 0.25;
-  config.resumption_ratio = 0.5;
-
-  auto classic = loadgen::run_load(config);
-  auto fleet = loadgen::run_fleet(config);
-  ASSERT_TRUE(classic.ok);
-  EXPECT_EQ(jsonl_row(config, classic), jsonl_row(config, fleet));
+  std::string rows;
+  for (const auto& config : {poisson, closed}) {
+    ASSERT_FALSE(config.is_fleet());
+    auto m = loadgen::run_fleet(config);
+    ASSERT_TRUE(m.ok);
+    rows += jsonl_row(config, m);
+  }
+  EXPECT_EQ(rows, read_golden("loadgen_single_rows.jsonl"));
 }
 
 // ---------------------------------------------------------------------------
-// NaN-safe percentiles (both engines): a window with zero completions has
-// no percentiles — NaN in the metrics, "null" in JSONL, "nan" in CSV, and
-// never a fake 0.0 latency.
+// NaN-safe percentiles: a window with zero completions has no percentiles
+// — NaN in the metrics, "null" in JSONL, "nan" in CSV, and never a fake 0.0
+// latency.
 
 TEST(FleetMetrics, ZeroCompletionWindowsRenderNullNotZero) {
   loadgen::LoadConfig config;
@@ -209,38 +212,35 @@ TEST(FleetMetrics, ZeroCompletionWindowsRenderNullNotZero) {
   config.duration_s = 0.5;
   config.warmup_s = 0.1;
 
-  for (bool fleet : {false, true}) {
-    SCOPED_TRACE(fleet ? "fleet engine" : "classic engine");
-    auto m = fleet ? loadgen::run_fleet(config) : loadgen::run_load(config);
-    EXPECT_FALSE(m.ok);
-    EXPECT_TRUE(std::isnan(m.p50));
-    EXPECT_TRUE(std::isnan(m.p90));
-    EXPECT_TRUE(std::isnan(m.p99));
-    EXPECT_TRUE(std::isnan(m.p999));
-    EXPECT_TRUE(std::isnan(m.mean_latency));
+  auto m = loadgen::run_fleet(config);
+  EXPECT_FALSE(m.ok);
+  EXPECT_TRUE(std::isnan(m.p50));
+  EXPECT_TRUE(std::isnan(m.p90));
+  EXPECT_TRUE(std::isnan(m.p99));
+  EXPECT_TRUE(std::isnan(m.p999));
+  EXPECT_TRUE(std::isnan(m.mean_latency));
 
-    std::string row = jsonl_row(config, m);
-    EXPECT_NE(row.find("\"p50_ms\":null"), std::string::npos) << row;
-    EXPECT_NE(row.find("\"p999_ms\":null"), std::string::npos) << row;
+  std::string row = jsonl_row(config, m);
+  EXPECT_NE(row.find("\"p50_ms\":null"), std::string::npos) << row;
+  EXPECT_NE(row.find("\"p999_ms\":null"), std::string::npos) << row;
 
-    campaign::CellOutcome o;
-    o.campaign = "fleet-test";
-    o.cell.id = "cell";
-    o.cell.loadgen = config;
-    o.load = m;
-    o.error = "no handshake completed in the window";
-    std::ostringstream csv_out;
-    campaign::CsvSink csv(csv_out);
-    campaign::CampaignSpec spec;
-    spec.name = "fleet-test";
-    campaign::Cell cell;
-    cell.loadgen = config;
-    spec.cells.push_back(cell);
-    csv.begin(spec, campaign::RunnerOptions{});
-    csv.cell(o);
-    csv.finish();
-    EXPECT_NE(csv_out.str().find(",nan,"), std::string::npos) << csv_out.str();
-  }
+  campaign::CellOutcome o;
+  o.campaign = "fleet-test";
+  o.cell.id = "cell";
+  o.cell.loadgen = config;
+  o.load = m;
+  o.error = "no handshake completed in the window";
+  std::ostringstream csv_out;
+  campaign::CsvSink csv(csv_out);
+  campaign::CampaignSpec spec;
+  spec.name = "fleet-test";
+  campaign::Cell cell;
+  cell.loadgen = config;
+  spec.cells.push_back(cell);
+  csv.begin(spec, campaign::RunnerOptions{});
+  csv.cell(o);
+  csv.finish();
+  EXPECT_NE(csv_out.str().find(",nan,"), std::string::npos) << csv_out.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -281,15 +281,6 @@ TEST(FleetTrace, SampledConnectionsRecordFleetEvents) {
 // ---------------------------------------------------------------------------
 // The `fleet` campaign: byte-identical rows at any worker count, locked
 // against golden files, with SLO verdicts and churn/class cells.
-
-std::string read_golden(const std::string& name) {
-  std::ifstream in(std::string(PQTLS_TEST_DATA_DIR) + "/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << name;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 TEST(FleetCampaign, GoldenRowsAndWorkerCountInvariance) {
   const campaign::CampaignSpec* spec = campaign::find_campaign("fleet");

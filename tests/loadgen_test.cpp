@@ -5,12 +5,15 @@
 // output at any campaign worker count).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/campaign.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/sinks.hpp"
+#include "loadgen/fleet.hpp"
 #include "loadgen/sweep.hpp"
 
 namespace pqtls::loadgen {
@@ -70,7 +73,7 @@ TEST(Loadgen, AnalyticCapacityScalesWithCores) {
 TEST(Loadgen, BelowKneeAchievedTracksOffered) {
   LoadConfig config = quick("x25519", "rsa:2048");
   config.load_factor = 0.5;
-  LoadMetrics m = run_load(config);
+  LoadMetrics m = run_fleet(config);
   ASSERT_TRUE(m.ok);
   EXPECT_EQ(m.dropped, 0);
   EXPECT_EQ(m.timed_out, 0);
@@ -86,8 +89,8 @@ TEST(Loadgen, OverloadSaturatesBelowAnalyticBound) {
   below.load_factor = 0.5;
   LoadConfig over = below;
   over.load_factor = 1.4;
-  LoadMetrics calm = run_load(below);
-  LoadMetrics hot = run_load(over);
+  LoadMetrics calm = run_fleet(below);
+  LoadMetrics hot = run_fleet(over);
   ASSERT_TRUE(hot.ok);
   // Achieved rate is capped by the server CPU, never above the bound.
   EXPECT_LE(hot.achieved_rate, hot.analytic_capacity * 1.02);
@@ -146,7 +149,7 @@ TEST(Loadgen, ClosedLoopSaturatesTheServer) {
   config.arrival = Arrival::kClosed;
   config.clients = 64;
   config.timeout_s = 5.0;  // closed-loop backpressure, not abandonment
-  LoadMetrics m = run_load(config);
+  LoadMetrics m = run_fleet(config);
   ASSERT_TRUE(m.ok);
   // 64 clients against one core: the server, not the population, is the
   // bottleneck, so utilization pins and throughput sits at capacity.
@@ -159,7 +162,7 @@ TEST(Loadgen, TinyBacklogDropsConnections) {
   LoadConfig config = quick("x25519", "rsa:2048");
   config.load_factor = 1.2;
   config.backlog = 4;
-  LoadMetrics m = run_load(config);
+  LoadMetrics m = run_fleet(config);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.dropped, 0);
   // The backlog also caps the queue, keeping latency bounded.
@@ -170,7 +173,7 @@ TEST(Loadgen, TightTimeoutCausesAbandonment) {
   LoadConfig config = quick("x25519", "rsa:2048");
   config.load_factor = 1.3;
   config.timeout_s = 0.2;
-  LoadMetrics m = run_load(config);
+  LoadMetrics m = run_fleet(config);
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.timed_out, 0);
   // Completed handshakes all finished inside the abandonment deadline.
@@ -181,8 +184,8 @@ TEST(Loadgen, SjfIsDeterministicAndServesFinishFirst) {
   LoadConfig config = quick("x25519", "rsa:2048");
   config.load_factor = 1.1;
   config.policy = Policy::kSjf;
-  LoadMetrics a = run_load(config);
-  LoadMetrics b = run_load(config);
+  LoadMetrics a = run_fleet(config);
+  LoadMetrics b = run_fleet(config);
   ASSERT_TRUE(a.ok);
   // Exact replay: the whole simulation is a pure function of the config.
   EXPECT_EQ(a.completed, b.completed);
@@ -194,8 +197,25 @@ TEST(Loadgen, SjfIsDeterministicAndServesFinishFirst) {
   // handshakes drain instead of starving behind new server flights:
   // throughput stays at (or above) FIFO's under the same overload.
   config.policy = Policy::kFifo;
-  LoadMetrics fifo = run_load(config);
+  LoadMetrics fifo = run_fleet(config);
   EXPECT_GE(a.achieved_rate, fifo.achieved_rate * 0.98);
+}
+
+// A zero-length window has no rates (0/0 would render as -nan in a row),
+// so the engine refuses it like a non-positive offered rate.
+TEST(Loadgen, NonPositiveDurationThrows) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double d : {0.0, -1.0, inf, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(d);
+    LoadConfig config = quick("x25519", "rsa:2048");
+    config.duration_s = d;
+    try {
+      run_fleet(config);
+      ADD_FAILURE() << "run_fleet accepted duration " << d;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "loadgen: duration must be > 0");
+    }
+  }
 }
 
 TEST(LoadgenCampaigns, RegisteredAndWellFormed) {

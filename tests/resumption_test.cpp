@@ -18,6 +18,7 @@
 #include "campaign/sinks.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "loadgen/fleet.hpp"
 #include "loadgen/loadgen.hpp"
 #include "session/session.hpp"
 #include "session/ticket.hpp"
@@ -489,12 +490,12 @@ TEST(LoadgenResumption, RatioMixesMetricsDeterministically) {
   cfg.warmup_s = 0.25;
   cfg.pki_seed = kSeed;
 
-  loadgen::LoadMetrics base = loadgen::run_load(cfg);
+  loadgen::LoadMetrics base = loadgen::run_fleet(cfg);
   ASSERT_TRUE(base.ok);
 
   cfg.resumption_ratio = 0.5;
-  loadgen::LoadMetrics mixed = loadgen::run_load(cfg);
-  loadgen::LoadMetrics again = loadgen::run_load(cfg);
+  loadgen::LoadMetrics mixed = loadgen::run_fleet(cfg);
+  loadgen::LoadMetrics again = loadgen::run_fleet(cfg);
   ASSERT_TRUE(mixed.ok);
   EXPECT_EQ(mixed.completed, again.completed);
   EXPECT_EQ(mixed.p99, again.p99);
@@ -504,7 +505,7 @@ TEST(LoadgenResumption, RatioMixesMetricsDeterministically) {
   EXPECT_LT(mixed.server_bytes, base.server_bytes);
 
   cfg.resumption_ratio = 1.0;
-  loadgen::LoadMetrics all_resumed = loadgen::run_load(cfg);
+  loadgen::LoadMetrics all_resumed = loadgen::run_fleet(cfg);
   ASSERT_TRUE(all_resumed.ok);
   EXPECT_LT(all_resumed.server_cpu_s, mixed.server_cpu_s);
 }

@@ -65,7 +65,7 @@ int usage(const char* argv0) {
       "  --delay-ms D          one-way network delay (default 5)\n"
       "  --rate-mbps M         per-direction link rate (default line rate)\n"
       "\n"
-      "fleet (any of these switches to the sharded multi-server engine):\n"
+      "fleet (non-default values add fleet summary lines and row columns):\n"
       "  --servers M           servers behind the balancer (default 1)\n"
       "  --balancer NAME       round_robin|least_loaded|power_of_two\n"
       "                        (short: rr|ll|p2c; default round_robin)\n"
@@ -119,7 +119,13 @@ double double_or(const char* text, double fallback, const char* what) {
   char* end = nullptr;
   double v = std::strtod(text, &end);
   if (end == text || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "ignoring non-numeric %s '%s'\n", what, text);
+    std::fprintf(stderr,
+                 "warning: ignoring invalid %s '%s' (want a non-negative "
+                 "number)",
+                 what, text);
+    // Negative fallbacks are reject sentinels for the caller, not values.
+    if (fallback >= 0) std::fprintf(stderr, "; using %g", fallback);
+    std::fputc('\n', stderr);
     return fallback;
   }
   return v;
@@ -372,16 +378,11 @@ int main(int argc, char** argv) {
 
   try {
     if (!sweep) {
-      // --trace implies the fleet engine: only it threads a recorder
-      // through sampled connections.
-      bool fleet = config.is_fleet() || !trace_path.empty();
+      bool traced = !trace_path.empty();
       trace::Recorder recorder;
       auto wall0 = std::chrono::steady_clock::now();
-      loadgen::LoadMetrics m =
-          fleet ? loadgen::run_fleet(
-                      config, trace_path.empty() ? nullptr : &recorder,
-                      trace_every)
-                : loadgen::run_load(config);
+      loadgen::LoadMetrics m = loadgen::run_fleet(
+          config, traced ? &recorder : nullptr, trace_every);
       double wall_s = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall0)
                           .count();
@@ -401,7 +402,9 @@ int main(int argc, char** argv) {
                   m.p50 * 1e3, m.p90 * 1e3, m.p99 * 1e3, m.p999 * 1e3);
       std::printf("  queue     depth %6.2f      core utilization %5.1f%%\n",
                   m.mean_queue_depth, m.core_utilization * 100);
-      if (fleet) {
+      // A traced run also prints the fleet summary its trace is read
+      // against.
+      if (config.is_fleet() || traced) {
         std::printf("  fleet     %d server%s x %d cores   balancer %s   "
                     "shards %u   classes %zu\n",
                     config.servers, config.servers == 1 ? "" : "s",
@@ -422,7 +425,7 @@ int main(int argc, char** argv) {
                                : 0.0,
                     wall_s, peak_rss_mb());
       }
-      if (!trace_path.empty()) {
+      if (traced) {
         std::ofstream trace_file(trace_path);
         if (!trace_file) {
           std::fprintf(stderr, "cannot open '%s' for writing\n",

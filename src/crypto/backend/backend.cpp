@@ -180,6 +180,15 @@ const DilithiumKernels& dilithium_kernels() {
   return detail::kDilithiumPortable;
 }
 
+const KeccakKernels& keccak_kernels() {
+  if (want_avx2()) {
+    if (const KeccakKernels* k = detail::keccak_avx2()) {
+      return *k;
+    }
+  }
+  return detail::kKeccakPortable;
+}
+
 const HarakaKernels& haraka_kernels() {
   if (want_aesni()) {
     if (const HarakaKernels* k = detail::haraka_aesni()) {

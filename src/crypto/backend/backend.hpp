@@ -1,8 +1,9 @@
 // Runtime-selected crypto backend dispatch (DESIGN.md §2.1a). All number-
 // theoretic and permutation kernels behind the AlgorithmCatalog route
 // through the small function tables below, so one process-wide selection
-// switches Kyber/Dilithium NTT arithmetic to AVX2 and the SPHINCS+ Haraka
-// permutation to AES-NI without touching any caller. Every backend is
+// switches Kyber/Dilithium NTT arithmetic and the 4-way Keccak used for
+// matrix and mask expansion to AVX2, and the SPHINCS+ Haraka permutation to
+// AES-NI, without touching any caller. Every backend is
 // bit-identical to the portable kernels by construction (canonical [0, q)
 // residues in, canonical residues out; the KAT-equivalence tests lock this),
 // so wire bytes, shared secrets, and every golden row are independent of
@@ -21,7 +22,7 @@ namespace pqtls::crypto::backend {
 
 enum class Backend {
   kPortable = 0,  // pure scalar reference kernels (always available)
-  kAvx2 = 1,      // AVX2 Montgomery NTT/invNTT/pointwise for Kyber+Dilithium
+  kAvx2 = 1,      // AVX2 NTT/invNTT/pointwise (Kyber+Dilithium), Keccak x4
   kAesni = 2,     // AES-NI Haraka permutation for SPHINCS+
   kAuto = 3,      // best available kernels per family (the default)
 };
@@ -68,6 +69,14 @@ struct DilithiumKernels {  // q = 8380417, int32 coefficients
                         const std::int32_t* b);
 };
 
+struct KeccakKernels {
+  // Keccak-f[1600] on states 0 .. lanes-1 (lanes in 1..4) of four states
+  // interleaved by lane: word 4*i + k of `states` is lane i of state k (100
+  // words in all). The other states may be permuted too or left as they
+  // are: AVX2 permutes all four at the cost of one, portable skips them.
+  void (*permute_x4)(std::uint64_t* states, int lanes);
+};
+
 struct HarakaKernels {
   // `rc` is the flat round-constant block (40 x 16 bytes for permute512,
   // the first 20 x 16 for permute256), consumed in order.
@@ -80,6 +89,7 @@ struct HarakaKernels {
 /// call per operation (one relaxed atomic load + a branch).
 const KyberKernels& kyber_kernels();
 const DilithiumKernels& dilithium_kernels();
+const KeccakKernels& keccak_kernels();
 const HarakaKernels& haraka_kernels();
 
 }  // namespace pqtls::crypto::backend

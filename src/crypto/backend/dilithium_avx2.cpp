@@ -5,6 +5,10 @@
 // conditional subtract back to canonical after every step, making the
 // results bit-identical to the portable %-based kernels. Twiddles are
 // premultiplied by R at static init from the same 1753^bitrev8(i) table.
+// Every layer runs in registers: len >= 16 pairs whole vectors, and one
+// fused pass per 16 coefficients does len = 8, 4, 2 and 1 by regrouping
+// lanes (128-bit halves, then 64-bit lanes, then the even/odd split) with
+// a per-lane twiddle vector.
 #include <cstdint>
 
 #include "crypto/backend/kernels.hpp"
@@ -21,7 +25,6 @@ constexpr std::int32_t kQ = 8380417;
 constexpr std::int64_t kInv256 = 8347681;  // 256^{-1} mod q
 
 struct Tables {
-  std::int32_t zeta[256];    // plain twiddles (scalar tail layers)
   std::int64_t zeta_m[256];  // zeta * 2^32 mod q (Montgomery form)
   std::uint32_t nqinv;       // -q^{-1} mod 2^32
   std::int64_t r2;           // 2^64 mod q
@@ -37,7 +40,6 @@ struct Tables {
       int e = bitrev8(i);
       std::int64_t v = 1;
       for (int j = 0; j < e; ++j) v = (v * 1753) % kQ;
-      zeta[i] = static_cast<std::int32_t>(v);
       zeta_m[i] = (v << 32) % kQ;
     }
     // Newton iteration for q^{-1} mod 2^32 (q odd), then negate.
@@ -52,19 +54,6 @@ struct Tables {
 };
 const Tables kT;
 
-// Scalar helpers for the short len<=4 layers (identical to portable).
-std::int32_t fqmul_s(std::int64_t a, std::int64_t b) {
-  std::int64_t p = (a * b) % kQ;
-  if (p < 0) p += kQ;
-  return static_cast<std::int32_t>(p);
-}
-
-std::int32_t freduce_s(std::int64_t a) {
-  a %= kQ;
-  if (a < 0) a += kQ;
-  return static_cast<std::int32_t>(a);
-}
-
 inline __m256i q32() { return _mm256_set1_epi32(kQ); }
 inline __m256i q64() { return _mm256_set1_epi64x(kQ); }
 
@@ -77,16 +66,14 @@ inline __m256i csub32(__m256i a) {
 // Montgomery reduction of four 64-bit lanes holding nonnegative t < 2^46:
 // returns t * 2^{-32} mod q canonical in the low half of each lane.
 inline __m256i mredc64(__m256i t) {
-  const __m256i mask32 = _mm256_set1_epi64x(0xFFFFFFFF);
-  __m256i m = _mm256_and_si256(
-      _mm256_mul_epu32(t, _mm256_set1_epi64x(
-                              static_cast<long long>(kT.nqinv))),
-      mask32);
+  // _mm256_mul_epu32 reads only the low 32 bits of each lane, so m needs
+  // no mask.
+  __m256i m = _mm256_mul_epu32(
+      t, _mm256_set1_epi64x(static_cast<long long>(kT.nqinv)));
   __m256i r =
       _mm256_srli_epi64(_mm256_add_epi64(t, _mm256_mul_epu32(m, q64())), 32);
-  // r < 2^14 + q, one conditional subtract.
-  __m256i lt = _mm256_cmpgt_epi64(q64(), r);
-  return _mm256_sub_epi64(r, _mm256_andnot_si256(lt, q64()));
+  // r < 2^14 + q with a zero high half: one 32-bit conditional subtract.
+  return csub32(r);
 }
 
 // Split 8 canonical int32 lanes into even/odd 64-bit half-vectors
@@ -108,71 +95,155 @@ inline __m256i mmul8(__m256i v, __m256i zm) {
               mredc64(_mm256_mul_epu32(od, zm)));
 }
 
+// Twiddle vector for the 64-bit lanes of a butterfly: lane i multiplies by
+// zeta_m[z_i] (both of its 32-bit coefficients, after split()).
+inline __m256i zetas4(int z0, int z1, int z2, int z3) {
+  return _mm256_setr_epi64x(kT.zeta_m[z0], kT.zeta_m[z1], kT.zeta_m[z2],
+                            kT.zeta_m[z3]);
+}
+
+// Forward (Cooley-Tukey) butterfly on 8 lane pairs: a += b*z, b = a - b*z.
+inline void fwd_bfly(__m256i& a, __m256i& b, __m256i zm) {
+  __m256i t = mmul8(b, zm);
+  b = csub32(_mm256_add_epi32(_mm256_sub_epi32(a, t), q32()));
+  a = csub32(_mm256_add_epi32(a, t));
+}
+
+// Inverse (Gentleman-Sande) butterfly: a += b, b = (b - a) * z.
+inline void inv_bfly(__m256i& a, __m256i& b, __m256i zm) {
+  __m256i d = csub32(_mm256_add_epi32(_mm256_sub_epi32(b, a), q32()));
+  a = csub32(_mm256_add_epi32(a, b));
+  b = mmul8(d, zm);
+}
+
+// Regroupings that put the two inputs of every butterfly of one layer into
+// matching lanes of two registers. Each is its own inverse.
+inline void swap128(__m256i& v0, __m256i& v1) {  // len = 4
+  __m256i lo = _mm256_permute2x128_si256(v0, v1, 0x20);
+  __m256i hi = _mm256_permute2x128_si256(v0, v1, 0x31);
+  v0 = lo;
+  v1 = hi;
+}
+
+inline void swap64(__m256i& v0, __m256i& v1) {  // len = 2
+  __m256i lo = _mm256_unpacklo_epi64(v0, v1);
+  __m256i hi = _mm256_unpackhi_epi64(v0, v1);
+  v0 = lo;
+  v1 = hi;
+}
+
+// The last four forward layers on coefficients 16p..16p+15 (v0 = the
+// first 8, v1 = the rest). Twiddle indices follow the portable ++k order:
+// len = 8 uses 16 + p, len = 4 uses 32 + block, len = 2 uses 64 + group,
+// len = 1 uses 128 + pair.
+inline void ntt_tail(__m256i& v0, __m256i& v1, int p) {
+  fwd_bfly(v0, v1, _mm256_set1_epi64x(kT.zeta_m[16 + p]));
+  // len = 4: v0 = both low halves, v1 = both high halves.
+  swap128(v0, v1);
+  const int b = 32 + 2 * p;
+  fwd_bfly(v0, v1, zetas4(b, b, b + 1, b + 1));
+  swap128(v0, v1);
+  // len = 2: 64-bit lanes hold coefficient pairs; groups of four
+  // coefficients g..g+3 land in lanes (g, g+2, g+1, g+3).
+  swap64(v0, v1);
+  const int g = 64 + 4 * p;
+  fwd_bfly(v0, v1, zetas4(g, g + 2, g + 1, g + 3));
+  swap64(v0, v1);
+  // len = 1: the even/odd split already separates each butterfly's inputs.
+  const int m = 128 + 8 * p;
+  __m256i* v[2] = {&v0, &v1};
+  for (int h = 0; h < 2; ++h) {
+    __m256i ev, od;
+    split(*v[h], ev, od);
+    const int z = m + 4 * h;
+    __m256i t = mredc64(_mm256_mul_epu32(od, zetas4(z, z + 1, z + 2, z + 3)));
+    // The high halves of ev and t are zero; csub32 maps the q that the
+    // subtraction leaves there back to zero.
+    od = csub32(_mm256_add_epi32(_mm256_sub_epi32(ev, t), q32()));
+    ev = csub32(_mm256_add_epi32(ev, t));
+    *v[h] = join(ev, od);
+  }
+}
+
+// Inverse of ntt_tail's layer order: len = 1, 2, 4, 8, twiddles walked in
+// the portable --k order from 255 down to 16.
+inline void invntt_head(__m256i& v0, __m256i& v1, int p) {
+  const int m = 255 - 8 * p;
+  __m256i* v[2] = {&v0, &v1};
+  for (int h = 0; h < 2; ++h) {
+    __m256i ev, od;
+    split(*v[h], ev, od);
+    const int z = m - 4 * h;
+    __m256i d = csub32(_mm256_add_epi32(_mm256_sub_epi32(od, ev), q32()));
+    ev = csub32(_mm256_add_epi32(ev, od));
+    od = mredc64(_mm256_mul_epu32(d, zetas4(z, z - 1, z - 2, z - 3)));
+    *v[h] = join(ev, od);
+  }
+  swap64(v0, v1);
+  const int g = 127 - 4 * p;
+  inv_bfly(v0, v1, zetas4(g, g - 2, g - 1, g - 3));
+  swap64(v0, v1);
+  swap128(v0, v1);
+  const int b = 63 - 2 * p;
+  inv_bfly(v0, v1, zetas4(b, b, b - 1, b - 1));
+  swap128(v0, v1);
+  inv_bfly(v0, v1, _mm256_set1_epi64x(kT.zeta_m[31 - p]));
+}
+
+inline __m256i load(const std::int32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+inline void store(std::int32_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
 void ntt(std::int32_t* r) {
   int k = 0;
-  for (int len = 128; len >= 8; len >>= 1) {
+  for (int len = 128; len >= 16; len >>= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi64x(kT.zeta_m[++k]);
       for (int j = start; j < start + len; j += 8) {
-        __m256i a =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j));
-        __m256i b =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j + len));
-        __m256i t = mmul8(b, zm);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(r + j + len),
-            csub32(_mm256_add_epi32(_mm256_sub_epi32(a, t), q32())));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + j),
-                            csub32(_mm256_add_epi32(a, t)));
+        __m256i a = load(r + j);
+        __m256i b = load(r + j + len);
+        fwd_bfly(a, b, zm);
+        store(r + j, a);
+        store(r + j + len, b);
       }
     }
   }
-  for (int len = 4; len >= 1; len >>= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int32_t zeta = kT.zeta[++k];
-      for (int j = start; j < start + len; ++j) {
-        std::int32_t t = fqmul_s(zeta, r[j + len]);
-        r[j + len] = freduce_s(static_cast<std::int64_t>(r[j]) - t);
-        r[j] = freduce_s(static_cast<std::int64_t>(r[j]) + t);
-      }
-    }
+  for (int p = 0; p < kN / 16; ++p) {
+    __m256i v0 = load(r + 16 * p);
+    __m256i v1 = load(r + 16 * p + 8);
+    ntt_tail(v0, v1, p);
+    store(r + 16 * p, v0);
+    store(r + 16 * p + 8, v1);
   }
 }
 
 void invntt(std::int32_t* r) {
-  int k = 256;
-  for (int len = 1; len <= 4; len <<= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int32_t zeta = kT.zeta[--k];
-      for (int j = start; j < start + len; ++j) {
-        std::int32_t t = r[j];
-        r[j] = freduce_s(static_cast<std::int64_t>(t) + r[j + len]);
-        r[j + len] = fqmul_s(
-            zeta, freduce_s(static_cast<std::int64_t>(r[j + len]) - t));
-      }
-    }
+  for (int p = 0; p < kN / 16; ++p) {
+    __m256i v0 = load(r + 16 * p);
+    __m256i v1 = load(r + 16 * p + 8);
+    invntt_head(v0, v1, p);
+    store(r + 16 * p, v0);
+    store(r + 16 * p + 8, v1);
   }
-  for (int len = 8; len <= 128; len <<= 1) {
+  int k = 16;
+  for (int len = 16; len <= 128; len <<= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi64x(kT.zeta_m[--k]);
       for (int j = start; j < start + len; j += 8) {
-        __m256i a =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j));
-        __m256i b =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j + len));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + j),
-                            csub32(_mm256_add_epi32(a, b)));
-        __m256i d = csub32(_mm256_add_epi32(_mm256_sub_epi32(b, a), q32()));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + j + len),
-                            mmul8(d, zm));
+        __m256i a = load(r + j);
+        __m256i b = load(r + j + len);
+        inv_bfly(a, b, zm);
+        store(r + j, a);
+        store(r + j + len, b);
       }
     }
   }
   __m256i f = _mm256_set1_epi64x(kT.inv256_m);
-  for (int j = 0; j < kN; j += 8) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + j));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(r + j), mmul8(v, f));
-  }
+  for (int j = 0; j < kN; j += 8) store(r + j, mmul8(load(r + j), f));
 }
 
 void pointwise_acc(std::int32_t* r, const std::int32_t* a,

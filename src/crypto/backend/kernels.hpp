@@ -10,6 +10,7 @@ namespace pqtls::crypto::backend::detail {
 // Portable reference kernels — always compiled, always available.
 extern const KyberKernels kKyberPortable;
 extern const DilithiumKernels kDilithiumPortable;
+extern const KeccakKernels kKeccakPortable;
 extern const HarakaKernels kHarakaPortable;
 
 // Optimized kernels. Each returns nullptr when the binary was built
@@ -17,6 +18,7 @@ extern const HarakaKernels kHarakaPortable;
 // rejected -mavx2/-maes); callers must still check cpu_supports().
 const KyberKernels* kyber_avx2();
 const DilithiumKernels* dilithium_avx2();
+const KeccakKernels* keccak_avx2();
 const HarakaKernels* haraka_aesni();
 
 }  // namespace pqtls::crypto::backend::detail

@@ -4,7 +4,10 @@
 // canonical range [0, q) after every step — so outputs are bit-identical
 // to the portable %-based kernels. Twiddles are premultiplied by R (or
 // R^2 for the basemul pair-zetas) at static init from the same
-// 17^bitrev7(i) table the portable kernels build.
+// 17^bitrev7(i) table the portable kernels build. Every layer runs in
+// registers: len >= 16 pairs whole vectors, and one fused pass per 16
+// coefficients does len = 8, 4 and 2 by regrouping lanes (128-bit halves,
+// then 64-bit lanes) with a per-lane twiddle vector.
 #include <cstdint>
 
 #include "crypto/backend/kernels.hpp"
@@ -22,7 +25,6 @@ constexpr std::int32_t kNQInv = 3327;  // -q^{-1} mod 2^16 (3329*3327 = -1)
 constexpr std::int32_t kInv128 = 3303;  // 128^{-1} mod q
 
 struct Tables {
-  std::int16_t zeta[128];   // plain twiddles (scalar tail layers)
   std::int32_t zeta_m[128];  // zeta * 2^16 mod q (Montgomery form)
   // Basemul pair twiddles indexed by coefficient-pair p in 0..127:
   // +zeta_{64+p/2} for even p, q - zeta_{64+p/2} for odd p, each
@@ -38,11 +40,12 @@ struct Tables {
         if (x & (1 << b)) r |= 1 << (6 - b);
       return r;
     };
+    std::int32_t zeta[128];
     for (int i = 0; i < 128; ++i) {
       int e = bitrev7(i);
       std::int32_t v = 1;
       for (int j = 0; j < e; ++j) v = (v * 17) % kQ;
-      zeta[i] = static_cast<std::int16_t>(v);
+      zeta[i] = v;
       zeta_m[i] =
           static_cast<std::int32_t>((static_cast<std::int64_t>(v) << 16) % kQ);
     }
@@ -59,19 +62,6 @@ struct Tables {
   }
 };
 const Tables kT;
-
-// Scalar helpers for the short len=4/2 layers (identical to portable).
-std::int16_t fqmul_s(std::int32_t a, std::int32_t b) {
-  std::int32_t p = (a * b) % kQ;
-  if (p < 0) p += kQ;
-  return static_cast<std::int16_t>(p);
-}
-
-std::int16_t freduce_s(std::int32_t a) {
-  a %= kQ;
-  if (a < 0) a += kQ;
-  return static_cast<std::int16_t>(a);
-}
 
 inline __m256i q8() { return _mm256_set1_epi32(kQ); }
 
@@ -118,54 +108,106 @@ inline void store8(std::int16_t* p, __m256i v) {
                    _mm256_castsi256_si128(packed));
 }
 
+// Twiddle vector for 8 lanes: lanes 2i and 2i+1 multiply by zeta_m[z_i].
+inline __m256i zetas4(int z0, int z1, int z2, int z3) {
+  return _mm256_setr_epi32(kT.zeta_m[z0], kT.zeta_m[z0], kT.zeta_m[z1],
+                           kT.zeta_m[z1], kT.zeta_m[z2], kT.zeta_m[z2],
+                           kT.zeta_m[z3], kT.zeta_m[z3]);
+}
+
+// Forward (Cooley-Tukey) butterfly on 8 lane pairs: a += b*z, b = a - b*z.
+inline void fwd_bfly(__m256i& a, __m256i& b, __m256i zm) {
+  __m256i t = mmul(b, zm);
+  b = csub(_mm256_add_epi32(_mm256_sub_epi32(a, t), q8()));
+  a = csub(_mm256_add_epi32(a, t));
+}
+
+// Inverse (Gentleman-Sande) butterfly: a += b, b = (b - a) * z.
+inline void inv_bfly(__m256i& a, __m256i& b, __m256i zm) {
+  __m256i d = csub(_mm256_add_epi32(_mm256_sub_epi32(b, a), q8()));
+  a = csub(_mm256_add_epi32(a, b));
+  b = mmul(d, zm);
+}
+
+// Regroupings that put the two inputs of every butterfly of one layer into
+// matching lanes of two registers. Each is its own inverse.
+inline void swap128(__m256i& v0, __m256i& v1) {  // len = 4
+  __m256i lo = _mm256_permute2x128_si256(v0, v1, 0x20);
+  __m256i hi = _mm256_permute2x128_si256(v0, v1, 0x31);
+  v0 = lo;
+  v1 = hi;
+}
+
+inline void swap64(__m256i& v0, __m256i& v1) {  // len = 2
+  __m256i lo = _mm256_unpacklo_epi64(v0, v1);
+  __m256i hi = _mm256_unpackhi_epi64(v0, v1);
+  v0 = lo;
+  v1 = hi;
+}
+
 void ntt(std::int16_t* r) {
   int k = 1;
-  for (int len = 128; len >= 8; len >>= 1) {
+  for (int len = 128; len >= 16; len >>= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi32(kT.zeta_m[k++]);
       for (int j = start; j < start + len; j += 8) {
         __m256i a = load8(r + j);
         __m256i b = load8(r + j + len);
-        __m256i t = mmul(b, zm);
-        store8(r + j + len,
-               csub(_mm256_add_epi32(_mm256_sub_epi32(a, t), q8())));
-        store8(r + j, csub(_mm256_add_epi32(a, t)));
+        fwd_bfly(a, b, zm);
+        store8(r + j, a);
+        store8(r + j + len, b);
       }
     }
   }
-  for (int len = 4; len >= 2; len >>= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int16_t zeta = kT.zeta[k++];
-      for (int j = start; j < start + len; ++j) {
-        std::int16_t t = fqmul_s(zeta, r[j + len]);
-        r[j + len] = freduce_s(r[j] - t);
-        r[j] = freduce_s(r[j] + t);
-      }
-    }
+  // len = 8, 4, 2 on coefficients 16p..16p+15. Twiddle indices follow the
+  // portable k++ order: len = 8 uses 16 + p, len = 4 uses 32 + block and
+  // len = 2 uses 64 + group, groups g..g+3 landing in lanes (g, g+2, g+1,
+  // g+3) after swap64.
+  for (int p = 0; p < kN / 16; ++p) {
+    __m256i v0 = load8(r + 16 * p);
+    __m256i v1 = load8(r + 16 * p + 8);
+    fwd_bfly(v0, v1, _mm256_set1_epi32(kT.zeta_m[16 + p]));
+    swap128(v0, v1);
+    const int b = 32 + 2 * p;
+    fwd_bfly(v0, v1, zetas4(b, b, b + 1, b + 1));
+    swap128(v0, v1);
+    swap64(v0, v1);
+    const int g = 64 + 4 * p;
+    fwd_bfly(v0, v1, zetas4(g, g + 2, g + 1, g + 3));
+    swap64(v0, v1);
+    store8(r + 16 * p, v0);
+    store8(r + 16 * p + 8, v1);
   }
 }
 
 void invntt(std::int16_t* r) {
-  int k = 127;
-  for (int len = 2; len <= 4; len <<= 1) {
-    for (int start = 0; start < kN; start += 2 * len) {
-      std::int16_t zeta = kT.zeta[k--];
-      for (int j = start; j < start + len; ++j) {
-        std::int16_t t = r[j];
-        r[j] = freduce_s(t + r[j + len]);
-        r[j + len] = fqmul_s(zeta, freduce_s(r[j + len] - t + kQ));
-      }
-    }
+  // len = 2, 4, 8 on coefficients 16p..16p+15, twiddles walked in the
+  // portable k-- order from 127 down to 16.
+  for (int p = 0; p < kN / 16; ++p) {
+    __m256i v0 = load8(r + 16 * p);
+    __m256i v1 = load8(r + 16 * p + 8);
+    swap64(v0, v1);
+    const int g = 127 - 4 * p;
+    inv_bfly(v0, v1, zetas4(g, g - 2, g - 1, g - 3));
+    swap64(v0, v1);
+    swap128(v0, v1);
+    const int b = 63 - 2 * p;
+    inv_bfly(v0, v1, zetas4(b, b, b - 1, b - 1));
+    swap128(v0, v1);
+    inv_bfly(v0, v1, _mm256_set1_epi32(kT.zeta_m[31 - p]));
+    store8(r + 16 * p, v0);
+    store8(r + 16 * p + 8, v1);
   }
-  for (int len = 8; len <= 128; len <<= 1) {
+  int k = 15;
+  for (int len = 16; len <= 128; len <<= 1) {
     for (int start = 0; start < kN; start += 2 * len) {
       __m256i zm = _mm256_set1_epi32(kT.zeta_m[k--]);
       for (int j = start; j < start + len; j += 8) {
         __m256i a = load8(r + j);
         __m256i b = load8(r + j + len);
-        store8(r + j, csub(_mm256_add_epi32(a, b)));
-        __m256i d = csub(_mm256_add_epi32(_mm256_sub_epi32(b, a), q8()));
-        store8(r + j + len, mmul(d, zm));
+        inv_bfly(a, b, zm);
+        store8(r + j, a);
+        store8(r + j + len, b);
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "crypto/bytes.hpp"
 
@@ -51,6 +52,35 @@ class Shake {
 
  private:
   KeccakSponge sponge_;
+};
+
+/// Up to four SHAKE streams advanced in lockstep through the backend's
+/// 4-way Keccak-f[1600] (crypto/backend: AVX2 costs one permutation for
+/// all four lanes; portable runs the scalar permutation per live lane).
+/// Lane k's output is byte-identical to a Shake that absorbed inputs[k];
+/// only the speed depends on the backend.
+class ShakeX4 {
+ public:
+  /// bits must be 128 or 256, and 1 to 4 inputs of equal length; anything
+  /// else throws std::invalid_argument. Absorbs and pads every input.
+  ShakeX4(int bits, std::span<const BytesView> inputs);
+  std::size_t rate() const { return rate_; }
+  /// Writes the next `blocks` rate-sized blocks of lane k's stream to
+  /// out[k] (blocks * rate() bytes each) for every input lane k, all
+  /// lanes together; entries past the number of inputs are ignored.
+  void squeeze_blocks(const std::array<std::uint8_t*, 4>& out,
+                      std::size_t blocks);
+
+ private:
+  void xor_byte(int lane, std::size_t pos, std::uint8_t v) {
+    state_[4 * (pos / 8) + lane] ^= std::uint64_t{v} << (8 * (pos % 8));
+  }
+
+  // Four interleaved states: word 4*i + k is lane i of state k.
+  alignas(32) std::uint64_t state_[100] = {};
+  std::size_t rate_;
+  int lanes_;
+  void (*permute_x4_)(std::uint64_t* states, int lanes);
 };
 
 Bytes shake128(BytesView data, std::size_t out_len);

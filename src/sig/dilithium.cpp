@@ -1,6 +1,8 @@
 #include "sig/dilithium.hpp"
 
+#include <algorithm>
 #include <array>
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/aes.hpp"
@@ -108,9 +110,9 @@ class ExpandStream {
       Bytes iv(16, 0);
       iv[0] = static_cast<std::uint8_t>(nonce);
       iv[1] = static_cast<std::uint8_t>(nonce >> 8);
-      ctr_ = std::make_unique<AesCtr>(key, iv);
+      ctr_.emplace(key, iv);
     } else {
-      xof_ = std::make_unique<Shake>(seed.size() == 32 ? 128 : 256);
+      xof_.emplace(seed.size() == 32 ? 128 : 256);
       xof_->absorb(seed);
       std::uint8_t n[2] = {static_cast<std::uint8_t>(nonce),
                            static_cast<std::uint8_t>(nonce >> 8)};
@@ -125,26 +127,87 @@ class ExpandStream {
   }
 
  private:
-  std::unique_ptr<AesCtr> ctr_;
-  std::unique_ptr<Shake> xof_;
+  std::optional<AesCtr> ctr_;
+  std::optional<Shake> xof_;
 };
 
-// Uniform polynomial mod q (ExpandA), 23-bit rejection sampling.
-Poly expand_a(bool use_aes, BytesView rho, int i, int j) {
-  ExpandStream stream(use_aes, rho,
-                      static_cast<std::uint16_t>((i << 8) | j));
-  Poly out{};
-  int count = 0;
-  std::uint8_t buf[168];
-  while (count < kN) {
-    stream.read(buf, sizeof buf);
-    for (std::size_t b = 0; b + 3 <= sizeof buf && count < kN; b += 3) {
-      std::int32_t t = buf[b] | (std::int32_t{buf[b + 1]} << 8) |
-                       ((std::int32_t{buf[b + 2]} & 0x7f) << 16);
-      if (t < kQ) out[count++] = t;
+// The SHAKE streams seed || nonce_k (nonce little-endian) for `count`
+// (1 to 4) nonces, squeezed together: SHAKE-128 for the 32-byte rho,
+// SHAKE-256 for 64-byte seeds.
+crypto::ShakeX4 shake_x4(BytesView seed, const std::uint16_t* nonces,
+                         int count) {
+  Bytes inputs[4];
+  BytesView views[4];
+  for (int k = 0; k < count; ++k) {
+    inputs[k].assign(seed.begin(), seed.end());
+    inputs[k].push_back(static_cast<std::uint8_t>(nonces[k]));
+    inputs[k].push_back(static_cast<std::uint8_t>(nonces[k] >> 8));
+    views[k] = inputs[k];
+  }
+  return crypto::ShakeX4(seed.size() == 32 ? 128 : 256,
+                         {views, static_cast<std::size_t>(count)});
+}
+
+// Per-lane output of five blocks at either SHAKE rate: 280 ExpandA
+// candidates (each below q with probability 0.999, so a sixth block is
+// rare), or 680 bytes, enough for either mask packing.
+constexpr std::size_t kX4Blocks = 5;
+using X4Buffer = std::uint8_t[4][kX4Blocks * 168];
+
+void squeeze(crypto::ShakeX4& xof, X4Buffer& buf, std::size_t blocks) {
+  xof.squeeze_blocks({buf[0], buf[1], buf[2], buf[3]}, blocks);
+}
+
+// ExpandA's 23-bit rejection sampler: appends the coefficients below q
+// found in the 3-byte groups of buf[0..len) to out[count..]; returns the
+// new count.
+int rej_uniform(Poly& out, int count, const std::uint8_t* buf,
+                std::size_t len) {
+  for (std::size_t b = 0; b + 3 <= len && count < kN; b += 3) {
+    std::int32_t t = buf[b] | (std::int32_t{buf[b + 1]} << 8) |
+                     ((std::int32_t{buf[b + 2]} & 0x7f) << 16);
+    if (t < kQ) out[count++] = t;
+  }
+  return count;
+}
+
+// The whole k x l matrix A (ExpandA), row-major: a[i * l + j] is drawn
+// from rho with nonce (i << 8) | j. SHAKE draws four polynomials at a
+// time; the AES variant draws them one by one.
+PolyVec expand_matrix(bool use_aes, BytesView rho, int k, int l) {
+  const int n = k * l;
+  PolyVec a(n);
+  auto nonce = [l](int idx) {
+    return static_cast<std::uint16_t>(((idx / l) << 8) | (idx % l));
+  };
+  if (use_aes) {
+    for (int idx = 0; idx < n; ++idx) {
+      ExpandStream stream(true, rho, nonce(idx));
+      std::uint8_t buf[168];
+      for (int count = 0; count < kN;) {
+        stream.read(buf, sizeof buf);
+        count = rej_uniform(a[idx], count, buf, sizeof buf);
+      }
+    }
+    return a;
+  }
+  for (int base = 0; base < n; base += 4) {
+    const int group = std::min(4, n - base);
+    std::uint16_t nonces[4];
+    for (int t = 0; t < group; ++t) nonces[t] = nonce(base + t);
+    crypto::ShakeX4 xof = shake_x4(rho, nonces, group);
+    X4Buffer buf;
+    squeeze(xof, buf, kX4Blocks);
+    int count[4] = {};
+    for (int t = 0; t < group; ++t)
+      count[t] = rej_uniform(a[base + t], 0, buf[t], kX4Blocks * xof.rate());
+    while (*std::min_element(count, count + group) < kN) {
+      squeeze(xof, buf, 1);
+      for (int t = 0; t < group; ++t)
+        count[t] = rej_uniform(a[base + t], count[t], buf[t], xof.rate());
     }
   }
-  return out;
+  return a;
 }
 
 // Short secret polynomial (ExpandS), eta in {2, 4}.
@@ -169,14 +232,11 @@ Poly expand_s(bool use_aes, BytesView rho_prime, std::uint16_t nonce, int eta) {
   return out;
 }
 
-// Mask polynomial y (ExpandMask), coefficients in (-gamma1, gamma1].
-Poly expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t nonce,
-                 std::int32_t gamma1) {
-  ExpandStream stream(use_aes, rho_prime, nonce);
+// Mask coefficients in (-gamma1, gamma1] unpacked from kN * 18 / 8
+// (gamma1 = 2^17) or kN * 20 / 8 (gamma1 = 2^19) XOF bytes.
+Poly unpack_mask(const std::uint8_t* buf, std::int32_t gamma1) {
   Poly out{};
   if (gamma1 == (1 << 17)) {
-    std::uint8_t buf[kN * 18 / 8];
-    stream.read(buf, sizeof buf);
     for (int i = 0; i < kN / 4; ++i) {
       const std::uint8_t* b = buf + 9 * i;
       std::uint32_t t[4];
@@ -190,8 +250,6 @@ Poly expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t nonce,
         out[4 * i + j] = freduce(static_cast<std::int64_t>(gamma1) - t[j]);
     }
   } else {  // gamma1 == 2^19, 20 bits per coefficient
-    std::uint8_t buf[kN * 20 / 8];
-    stream.read(buf, sizeof buf);
     for (int i = 0; i < kN / 2; ++i) {
       const std::uint8_t* b = buf + 5 * i;
       std::uint32_t t0 = b[0] | (std::uint32_t{b[1]} << 8) |
@@ -203,6 +261,35 @@ Poly expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t nonce,
     }
   }
   return out;
+}
+
+// The l mask polynomials y (ExpandMask) for nonces kappa .. kappa + l - 1.
+// SHAKE draws four at a time; the AES variant draws them one by one.
+PolyVec expand_mask(bool use_aes, BytesView rho_prime, std::uint16_t kappa,
+                    int l, std::int32_t gamma1) {
+  const std::size_t bytes = gamma1 == (1 << 17) ? kN * 18 / 8 : kN * 20 / 8;
+  PolyVec y(l);
+  if (use_aes) {
+    std::uint8_t buf[kN * 20 / 8];
+    for (int i = 0; i < l; ++i) {
+      ExpandStream stream(true, rho_prime,
+                          static_cast<std::uint16_t>(kappa + i));
+      stream.read(buf, bytes);
+      y[i] = unpack_mask(buf, gamma1);
+    }
+    return y;
+  }
+  for (int base = 0; base < l; base += 4) {
+    const int group = std::min(4, l - base);
+    std::uint16_t nonces[4];
+    for (int t = 0; t < group; ++t)
+      nonces[t] = static_cast<std::uint16_t>(kappa + base + t);
+    crypto::ShakeX4 xof = shake_x4(rho_prime, nonces, group);
+    X4Buffer buf;
+    squeeze(xof, buf, kX4Blocks);
+    for (int t = 0; t < group; ++t) y[base + t] = unpack_mask(buf[t], gamma1);
+  }
+  return y;
 }
 
 // Challenge polynomial with tau +-1 coefficients (SampleInBall).
@@ -502,13 +589,13 @@ SigKeyPair DilithiumSigner::generate_keypair(Drbg& rng) const {
   PolyVec s1_hat = s1;
   for (auto& p : s1_hat) ntt(p);
 
+  PolyVec a_hat = expand_matrix(use_aes_, rho, k_, l_);
   PolyVec t(k_);
   for (int i = 0; i < k_; ++i) {
     Poly acc{};
-    for (int j = 0; j < l_; ++j) {
-      Poly a = expand_a(use_aes_, rho, i, j);
-      poly_pointwise_acc(acc, a, s1_hat[j]);
-    }
+    for (int j = 0; j < l_; ++j)
+      poly_pointwise_acc(acc, a_hat[static_cast<std::size_t>(i) * l_ + j],
+                         s1_hat[j]);
     invntt(acc);
     poly_add(acc, s2[i]);
     t[i] = acc;
@@ -563,26 +650,23 @@ Bytes DilithiumSigner::sign(BytesView secret_key, BytesView message,
   Bytes rho_prime = crypto::shake256(concat(key, mu), 64);
 
   // Precompute NTT-domain quantities.
-  std::vector<PolyVec> a_hat(k_, PolyVec(l_));
-  for (int i = 0; i < k_; ++i)
-    for (int j = 0; j < l_; ++j) a_hat[i][j] = expand_a(use_aes_, rho, i, j);
+  PolyVec a_hat = expand_matrix(use_aes_, rho, k_, l_);
   PolyVec s1_hat = s1, s2_hat = s2, t0_hat = t0;
   for (auto& p : s1_hat) ntt(p);
   for (auto& p : s2_hat) ntt(p);
   for (auto& p : t0_hat) ntt(p);
 
   for (std::uint16_t kappa = 0;; kappa = static_cast<std::uint16_t>(kappa + l_)) {
-    PolyVec y(l_);
-    for (int i = 0; i < l_; ++i)
-      y[i] = expand_mask(use_aes_, rho_prime,
-                         static_cast<std::uint16_t>(kappa + i), gamma1_);
+    PolyVec y = expand_mask(use_aes_, rho_prime, kappa, l_, gamma1_);
     PolyVec y_hat = y;
     for (auto& p : y_hat) ntt(p);
 
     PolyVec w(k_);
     for (int i = 0; i < k_; ++i) {
       Poly acc{};
-      for (int j = 0; j < l_; ++j) poly_pointwise_acc(acc, a_hat[i][j], y_hat[j]);
+      for (int j = 0; j < l_; ++j)
+        poly_pointwise_acc(acc, a_hat[static_cast<std::size_t>(i) * l_ + j],
+                           y_hat[j]);
       invntt(acc);
       w[i] = acc;
     }
@@ -685,10 +769,7 @@ struct VerifyCtx {
 VerifyCtx build_verify_ctx(bool use_aes, BytesView public_key, int k, int l) {
   VerifyCtx ctx;
   BytesView rho = public_key.subspan(0, 32);
-  ctx.a.resize(static_cast<std::size_t>(k) * l);
-  for (int i = 0; i < k; ++i)
-    for (int j = 0; j < l; ++j)
-      ctx.a[static_cast<std::size_t>(i) * l + j] = expand_a(use_aes, rho, i, j);
+  ctx.a = expand_matrix(use_aes, rho, k, l);
   ctx.t1_hat.resize(k);
   for (int i = 0; i < k; ++i) {
     Poly t1 = unpack_t1(public_key.subspan(32 + 320 * i, 320));

@@ -1,14 +1,17 @@
 // Multi-backend crypto dispatch contracts (DESIGN.md §2.7):
 //  - selection parsing/fallback and the resolved active_name() metadata,
-//  - raw kernel equivalence (portable vs AVX2/AES-NI on random inputs),
+//  - raw kernel equivalence (portable vs AVX2/AES-NI on random inputs and
+//    on fixed edge vectors), and the 4-way Keccak against scalar SHAKE,
 //  - catalog-wide KAT equivalence: keygen/encaps/decaps and sign/verify
-//    bytes are identical under every backend selection,
+//    bytes are identical under every backend selection, and the lattice
+//    entries' bytes are pinned to digests,
 //  - campaign rows are byte-identical under forced-portable vs auto,
 //  - batched server ops (encapsulate_batch / decapsulate_batch /
 //    verify_batch) match their sequential counterparts bit for bit,
 //  - the batched cost model amortizes monotonically with batch=1 exact,
 //  - the loadgen_batch campaign's golden rows,
 //  - power-of-two balancer probes are sampled without replacement.
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -25,6 +28,8 @@
 #include "crypto/backend/kernels.hpp"
 #include "crypto/catalog.hpp"
 #include "crypto/drbg.hpp"
+#include "crypto/keccak.hpp"
+#include "crypto/sha2.hpp"
 #include "loadgen/balancer.hpp"
 #include "loadgen/fleet.hpp"
 #include "loadgen/loadgen.hpp"
@@ -97,63 +102,233 @@ TEST(BackendDispatch, ActiveNameReflectsAvailability) {
 }
 
 // ---------------------------------------------------------------------------
-// Raw kernel equivalence on random canonical inputs. The optimized kernels
-// must be drop-in bit-identical, not merely congruent mod q.
+// Raw kernel equivalence. The optimized kernels must be drop-in
+// bit-identical, not merely congruent mod q.
+
+// Kernel inputs: fixed edge vectors, which random ones almost never hit
+// (all 0, all q-1, alternating 0/q-1, and a single nonzero coefficient, 1
+// or q-1, at each of positions 0..15: a wrong per-lane twiddle in the
+// in-register layers moves that coefficient's contribution to the wrong
+// place), then 50 random canonical polynomials.
+template <typename Coeff>
+std::vector<std::array<Coeff, 256>> kernel_inputs(Coeff q,
+                                                  std::uint64_t seed) {
+  std::vector<std::array<Coeff, 256>> out;
+  std::array<Coeff, 256> v{};
+  out.push_back(v);
+  v.fill(static_cast<Coeff>(q - 1));
+  out.push_back(v);
+  for (int i = 0; i < 256; ++i) v[i] = static_cast<Coeff>(i % 2 ? q - 1 : 0);
+  out.push_back(v);
+  for (Coeff value : {Coeff{1}, static_cast<Coeff>(q - 1)}) {
+    for (int pos = 0; pos < 16; ++pos) {
+      v.fill(0);
+      v[pos] = value;
+      out.push_back(v);
+    }
+  }
+  crypto::Drbg rng(seed);
+  for (int trial = 0; trial < 50; ++trial) {
+    for (auto& c : v) c = static_cast<Coeff>(rng.uniform(q));
+    out.push_back(v);
+  }
+  return out;
+}
 
 TEST(BackendKernels, KyberAvx2MatchesPortable) {
   const backend::KyberKernels* opt = backend::detail::kyber_avx2();
   if (!opt) GTEST_SKIP() << "AVX2 Kyber kernels not compiled in";
-  crypto::Drbg rng(std::uint64_t{0x6b79626572});
-  for (int trial = 0; trial < 50; ++trial) {
-    std::int16_t a[256], b[256], r0[256], r1[256];
-    for (int i = 0; i < 256; ++i) {
-      a[i] = static_cast<std::int16_t>(rng.uniform(3329));
-      b[i] = static_cast<std::int16_t>(rng.uniform(3329));
-      r0[i] = r1[i] = static_cast<std::int16_t>(rng.uniform(3329));
+  const auto& ref = backend::detail::kKyberPortable;
+  const auto inputs =
+      kernel_inputs<std::int16_t>(3329, std::uint64_t{0x6b79626572});
+  for (std::size_t x = 0; x < inputs.size(); ++x) {
+    SCOPED_TRACE("input " + std::to_string(x));
+    auto r0 = inputs[x], r1 = inputs[x];
+    ref.ntt(r0.data());
+    opt->ntt(r1.data());
+    EXPECT_EQ(r0, r1) << "ntt";
+    r0 = r1 = inputs[x];
+    ref.invntt(r0.data());
+    opt->invntt(r1.data());
+    EXPECT_EQ(r0, r1) << "invntt";
+    for (std::size_t y = 0; y < inputs.size(); ++y) {
+      r0 = r1 = inputs[(x + y) % inputs.size()];
+      const bool accumulate = y % 2 == 0;
+      ref.basemul_acc(r0.data(), inputs[x].data(), inputs[y].data(),
+                      accumulate);
+      opt->basemul_acc(r1.data(), inputs[x].data(), inputs[y].data(),
+                       accumulate);
+      EXPECT_EQ(r0, r1) << "basemul_acc with input " << y;
     }
-    std::int16_t x0[256], x1[256];
-    std::memcpy(x0, a, sizeof a);
-    std::memcpy(x1, a, sizeof a);
-    backend::detail::kKyberPortable.ntt(x0);
-    opt->ntt(x1);
-    EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "ntt trial " << trial;
-
-    backend::detail::kKyberPortable.invntt(x0);
-    opt->invntt(x1);
-    EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "invntt trial " << trial;
-
-    backend::detail::kKyberPortable.basemul_acc(r0, a, b, trial % 2 == 0);
-    opt->basemul_acc(r1, a, b, trial % 2 == 0);
-    EXPECT_EQ(std::memcmp(r0, r1, sizeof r0), 0) << "basemul trial " << trial;
   }
 }
 
 TEST(BackendKernels, DilithiumAvx2MatchesPortable) {
   const backend::DilithiumKernels* opt = backend::detail::dilithium_avx2();
   if (!opt) GTEST_SKIP() << "AVX2 Dilithium kernels not compiled in";
-  crypto::Drbg rng(std::uint64_t{0x64696c697468});
-  for (int trial = 0; trial < 50; ++trial) {
-    std::int32_t a[256], b[256], r0[256], r1[256];
-    for (int i = 0; i < 256; ++i) {
-      a[i] = static_cast<std::int32_t>(rng.uniform(8380417));
-      b[i] = static_cast<std::int32_t>(rng.uniform(8380417));
-      r0[i] = r1[i] = static_cast<std::int32_t>(rng.uniform(8380417));
+  const auto& ref = backend::detail::kDilithiumPortable;
+  const auto inputs =
+      kernel_inputs<std::int32_t>(8380417, std::uint64_t{0x64696c697468});
+  for (std::size_t x = 0; x < inputs.size(); ++x) {
+    SCOPED_TRACE("input " + std::to_string(x));
+    auto r0 = inputs[x], r1 = inputs[x];
+    ref.ntt(r0.data());
+    opt->ntt(r1.data());
+    EXPECT_EQ(r0, r1) << "ntt";
+    r0 = r1 = inputs[x];
+    ref.invntt(r0.data());
+    opt->invntt(r1.data());
+    EXPECT_EQ(r0, r1) << "invntt";
+    for (std::size_t y = 0; y < inputs.size(); ++y) {
+      r0 = r1 = inputs[(x + y) % inputs.size()];
+      ref.pointwise_acc(r0.data(), inputs[x].data(), inputs[y].data());
+      opt->pointwise_acc(r1.data(), inputs[x].data(), inputs[y].data());
+      EXPECT_EQ(r0, r1) << "pointwise_acc with input " << y;
     }
-    std::int32_t x0[256], x1[256];
-    std::memcpy(x0, a, sizeof a);
-    std::memcpy(x1, a, sizeof a);
-    backend::detail::kDilithiumPortable.ntt(x0);
-    opt->ntt(x1);
-    EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "ntt trial " << trial;
+  }
+}
 
-    backend::detail::kDilithiumPortable.invntt(x0);
-    opt->invntt(x1);
-    EXPECT_EQ(std::memcmp(x0, x1, sizeof x0), 0) << "invntt trial " << trial;
+// Keccak-f[1600] of the all-zero state, lane 0 (the Keccak team's
+// intermediate values), through the portable 4-way table.
+TEST(BackendKernels, KeccakX4PortableKnownAnswer) {
+  std::uint64_t states[100] = {};
+  backend::detail::kKeccakPortable.permute_x4(states, 4);
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(states[k], 0xF1258F7940E1DDE7ULL) << "state " << k;
+    EXPECT_EQ(states[4 + k], 0x84D5CCF933C0478AULL) << "state " << k;
+  }
+}
 
-    backend::detail::kDilithiumPortable.pointwise_acc(r0, a, b);
-    opt->pointwise_acc(r1, a, b);
-    EXPECT_EQ(std::memcmp(r0, r1, sizeof r0), 0)
-        << "pointwise trial " << trial;
+TEST(BackendKernels, KeccakX4Avx2MatchesPortable) {
+  const backend::KeccakKernels* opt = backend::detail::keccak_avx2();
+  if (!opt) GTEST_SKIP() << "AVX2 Keccak kernel not compiled in";
+  if (!backend::cpu_supports(backend::Backend::kAvx2))
+    GTEST_SKIP() << "CPU lacks AVX2";
+  crypto::Drbg rng(std::uint64_t{0x6b656363616b});
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint64_t s0[100], s1[100];
+    for (auto& w : s0) w = load_le64(rng.bytes(8).data());
+    std::memcpy(s1, s0, sizeof s0);
+    backend::detail::kKeccakPortable.permute_x4(s0, 4);
+    opt->permute_x4(s1, 4);
+    EXPECT_EQ(std::memcmp(s0, s1, sizeof s0), 0) << "trial " << trial;
+  }
+}
+
+// Lane k of a ShakeX4 over `lanes` random inputs of `len` bytes must be
+// byte-identical to a Shake over inputs[k], over a multi-block squeeze
+// taken in uneven steps.
+void expect_shake_x4_matches_shake(int bits, std::size_t len, int lanes,
+                                   crypto::Drbg& rng) {
+  SCOPED_TRACE("shake" + std::to_string(bits) + " len " + std::to_string(len) +
+               " lanes " + std::to_string(lanes));
+  Bytes in[4];
+  BytesView views[4];
+  for (int k = 0; k < lanes; ++k) {
+    in[k] = rng.bytes(len);
+    views[k] = in[k];
+  }
+  crypto::ShakeX4 x4(bits, {views, static_cast<std::size_t>(lanes)});
+  const std::size_t rate = x4.rate();
+  constexpr std::size_t kBlocks = 7;
+  std::vector<std::uint8_t> out[4];
+  for (auto& o : out) o.resize(kBlocks * rate);
+  std::size_t done = 0;
+  for (std::size_t step : {3, 1, 3}) {
+    x4.squeeze_blocks(
+        {out[0].data() + done * rate, out[1].data() + done * rate,
+         out[2].data() + done * rate, out[3].data() + done * rate},
+        step);
+    done += step;
+  }
+  for (int k = 0; k < lanes; ++k) {
+    Bytes want = bits == 128 ? crypto::shake128(in[k], kBlocks * rate)
+                             : crypto::shake256(in[k], kBlocks * rate);
+    EXPECT_EQ(Bytes(out[k].begin(), out[k].end()), want) << "lane " << k;
+  }
+}
+
+// Under every backend, at both rates, with four distinct inputs or fewer
+// (a short last group), across absorb block boundaries.
+TEST(BackendKernels, KeccakX4MatchesFourShakeStreams) {
+  SelectionGuard guard;
+  crypto::Drbg rng(std::uint64_t{0x78345f73});
+  for (const char* selection : {"portable", "avx2"}) {
+    if (std::string_view(selection) == "avx2" &&
+        !backend::available(backend::Backend::kAvx2))
+      continue;
+    ASSERT_TRUE(backend::select(selection));
+    SCOPED_TRACE(selection);
+    for (int bits : {128, 256}) {
+      const std::size_t rate = bits == 128 ? 168 : 136;
+      for (std::size_t len : {std::size_t{0}, std::size_t{34}, std::size_t{66},
+                              rate - 1, rate, rate + 1, 2 * rate + 5})
+        for (int lanes : {4, 3, 1})
+          expect_shake_x4_matches_shake(bits, len, lanes, rng);
+    }
+  }
+}
+
+TEST(BackendKernels, KeccakX4RejectsBadParameters) {
+  Bytes a(34, 1), b(35, 2);
+  const std::array<BytesView, 5> views = {a, a, b, a, a};
+  EXPECT_THROW(crypto::ShakeX4(128, std::span(views).first(4)),
+               std::invalid_argument);  // unequal lengths
+  EXPECT_THROW(crypto::ShakeX4(224, std::span(views).first(2)),
+               std::invalid_argument);  // no such SHAKE
+  EXPECT_THROW(crypto::ShakeX4(128, std::span(views).first(0)),
+               std::invalid_argument);
+  EXPECT_THROW(crypto::ShakeX4(128, std::span(views)), std::invalid_argument);
+}
+
+// Number of coefficients Kyber's 12-bit sampler accepts from the first
+// `blocks` SHAKE-128 blocks of rho || i || j.
+int kyber_accepted(const Bytes& rho, int i, int j, std::size_t blocks) {
+  Bytes in = rho;
+  in.push_back(static_cast<std::uint8_t>(i));
+  in.push_back(static_cast<std::uint8_t>(j));
+  Bytes buf = crypto::shake128(in, blocks * 168);
+  int count = 0;
+  for (std::size_t b = 0; b + 3 <= buf.size(); b += 3) {
+    int d1 = buf[b] | ((buf[b + 1] & 0x0f) << 8);
+    int d2 = (buf[b + 1] >> 4) | (buf[b + 2] << 4);
+    count += (d1 < 3329) + (d2 < 3329);
+  }
+  return count;
+}
+
+// The rare branch of the 4-way matrix sampler: one lane of a group runs
+// short after the first three blocks and squeezes a fourth while its
+// neighbours are done. The public key pins rho to such a seed (found by a
+// deterministic search); the ciphertext, which depends on every entry of
+// A, must match the digest recorded from the one-polynomial-at-a-time
+// SHAKE sampler under every backend.
+TEST(BackendKernels, KeccakX4KyberMatrixExtraBlock) {
+  SelectionGuard guard;
+  Bytes rho;
+  for (std::uint64_t s = 0; rho.empty() && s < 1000; ++s) {
+    std::uint8_t seed[8];
+    store_le64(seed, s);
+    Bytes candidate = crypto::shake256({seed, 8}, 32);
+    for (int e = 0; e < 9 && rho.empty(); ++e)
+      if (kyber_accepted(candidate, e / 3, e % 3, 3) < 256) rho = candidate;
+  }
+  ASSERT_FALSE(rho.empty()) << "no seed needs a fourth block";
+  EXPECT_EQ(to_hex(rho),
+            "402940bd9278c5b3c71380eecee0061af57ce334a215af1f31b313d672fa3dfe");
+
+  Bytes pk(3 * 384, 0);  // t = 0: the ciphertext's u = A^T r + e1 part
+  append(pk, rho);       // still depends on every matrix entry
+  const auto& kyber =
+      crypto::AlgorithmCatalog::instance().require_kem("kyber768");
+  for (const char* selection : {"portable", "auto"}) {
+    SCOPED_TRACE(selection);
+    ASSERT_TRUE(backend::select(selection));
+    crypto::Drbg rng(std::uint64_t{0x78626c6b});
+    auto enc = kyber.kem->encapsulate(pk, rng);
+    ASSERT_TRUE(enc.has_value());
+    EXPECT_EQ(to_hex(crypto::sha256(enc->ciphertext)),
+              "657d105cda916ca0b9f8055c544f8f2d7b8b28801fda3d193ba46ee906852d0b");
   }
 }
 
@@ -269,6 +444,69 @@ TEST(BackendEquivalence, SignersByteIdentical) {
     EXPECT_EQ(portable.sk, optimized.sk);
     EXPECT_EQ(portable.sig, optimized.sig);
     EXPECT_TRUE(optimized.verified);
+  }
+}
+
+// The catalog tests above compare backends with each other; these digests
+// pin the lattice entries to fixed bytes, recorded when every matrix and
+// mask polynomial was drawn from its own scalar SHAKE or AES stream, so a
+// change to the 4-way samplers that all backends share cannot go unseen.
+// KEMs: sha256(pk || sk || ct || ss); signers: sha256(pk || sk || sig).
+TEST(BackendEquivalence, LatticeKatDigestsPinned) {
+  SelectionGuard guard;
+  const std::pair<const char*, const char*> kems[] = {
+      {"kyber512",
+       "64c82ff938e79f6ca2dea5274ce15d10884f6d65dacb92fadc2b5e550e9c2071"},
+      {"kyber768",
+       "1e60c188233ec335b71aa7a68791f7bacd24c046a426a2a38473930e97a5d172"},
+      {"kyber1024",
+       "f6c609b0c0339cddb19524159c4f3f8cf779b077b2c05634c8e5638591b0e86d"},
+      {"kyber90s512",
+       "a0cf6f97cc8ef033a703bc38898741d7e3271e148c252f9e8a70433afa027418"},
+      {"kyber90s768",
+       "e58a83ca064bf9e100136f9d6013b637b594f7f0b533fc71b425d02a6e158ab3"},
+      {"kyber90s1024",
+       "6c20ee90b5603eff7a0758637f2122ce169070fb6fb251f8e2cecc09a1e9a9cf"}};
+  const std::pair<const char*, const char*> signers[] = {
+      {"dilithium2",
+       "4c73afd36dae76b005239bbbdcf2fa694e5381c7c3da92adad48779d8bdcfa27"},
+      {"dilithium3",
+       "57410676845b8c4181f98b5ed7ffb73d514c6cbfe7351be6758880b1f6906ee3"},
+      {"dilithium5",
+       "7365c38eb38bec15baecc0c5d9573beca5fa8afb8a30c0aad49f56a304b60df4"},
+      {"dilithium2_aes",
+       "77a301b692d767ee5a7f20c2de5e8171d48ee922703d84048c8d1c5dd0e7ebe0"},
+      {"dilithium3_aes",
+       "5ed6e84a9aa75c0abcd49d63fa5f8d9ff9dd9831f4830f4802815f7e9e5de44a"},
+      {"dilithium5_aes",
+       "8ccbe6ef104ccae2870ca3ce25f2844fe3cc104defc3db7ab3a588d529e9a540"}};
+  const auto& catalog = crypto::AlgorithmCatalog::instance();
+  for (const char* selection : {"portable", "auto"}) {
+    ASSERT_TRUE(backend::select(selection));
+    for (const auto& [name, digest] : kems) {
+      SCOPED_TRACE(std::string(selection) + " " + name);
+      crypto::Drbg rng(std::uint64_t{0x6b6174});
+      const kem::Kem& k = *catalog.require_kem(name).kem;
+      kem::KeyPair kp = k.generate_keypair(rng);
+      auto enc = k.encapsulate(kp.public_key, rng);
+      ASSERT_TRUE(enc.has_value());
+      Bytes all = kp.public_key;
+      append(all, kp.secret_key);
+      append(all, enc->ciphertext);
+      append(all, enc->shared_secret);
+      EXPECT_EQ(to_hex(crypto::sha256(all)), digest);
+    }
+    for (const auto& [name, digest] : signers) {
+      SCOPED_TRACE(std::string(selection) + " " + name);
+      crypto::Drbg rng(std::uint64_t{0x736967});
+      const sig::Signer& s = *catalog.require_signer(name).signer;
+      sig::SigKeyPair kp = s.generate_keypair(rng);
+      const Bytes msg = {1, 2, 3};
+      Bytes all = kp.public_key;
+      append(all, kp.secret_key);
+      append(all, s.sign(kp.secret_key, msg, rng));
+      EXPECT_EQ(to_hex(crypto::sha256(all)), digest);
+    }
   }
 }
 

@@ -1,12 +1,10 @@
 // Shared helpers for the table/figure reproduction binaries. The algorithm
-// matrix itself lives in src/campaign/matrix.hpp (shared with the campaign
-// engine); the aliases below keep the bench binaries' spelling.
+// matrix itself lives in src/campaign/matrix.hpp and the cell matrices in
+// src/campaign/campaign.cpp; the paper's tables without extra analysis run
+// straight through `pqtls_campaign <name> --measured`.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,6 +27,22 @@ inline int sample_count(int argc, char** argv, int fallback) {
   return campaign::env_samples(fallback);
 }
 
+/// Run a named campaign on the paper-fidelity measured clock and return
+/// every cell outcome in campaign order: sample count from argv[1] or
+/// PQTLS_SAMPLES (default `default_samples`), workers from PQTLS_WORKERS
+/// (default 1). Failed cells come back with ok() false.
+inline std::vector<campaign::CellOutcome> run_measured(
+    const char* campaign_name, int argc, char** argv, int default_samples) {
+  campaign::RunnerOptions opts;
+  opts.samples = sample_count(argc, argv, default_samples);
+  opts.workers = campaign::env_workers(1);
+  opts.time_model = testbed::TimeModel::kMeasured;
+  campaign::CollectSink collect;
+  campaign::run_campaign(*campaign::find_campaign(campaign_name), opts,
+                         {&collect});
+  return collect.outcomes();
+}
+
 /// Render a proportional ASCII bar (the paper's tables embed bar charts).
 inline std::string bar(double value, double max_value, int width = 12) {
   if (max_value <= 0) return "";
@@ -37,65 +51,6 @@ inline std::string bar(double value, double max_value, int width = 12) {
   std::string out(filled, '#');
   out.resize(width, ' ');
   return out;
-}
-
-/// Run a named campaign the way the historical bench binaries did: the
-/// paper-fidelity measured clock, sample override from argv[1] or
-/// PQTLS_SAMPLES, worker count from PQTLS_WORKERS (default 1), ASCII table
-/// on stdout, and optional JSONL rows to the path in argv[2]. Returns the
-/// process exit code (0 = all cells ok, 2 = some cell failed).
-inline int run_declared_campaign(const char* campaign_name, int argc,
-                                 char** argv, int default_samples) {
-  const campaign::CampaignSpec* spec = campaign::find_campaign(campaign_name);
-  if (!spec) {
-    std::fprintf(stderr, "unknown campaign '%s'\n", campaign_name);
-    return 1;
-  }
-  // Resolve every cell's algorithm pair up front through the catalog so a
-  // bad name fails before any work, with the canonical valid-names error.
-  try {
-    const auto& catalog = crypto::AlgorithmCatalog::instance();
-    for (const auto& cell : spec->cells) {
-      catalog.require_kem(cell.config.ka);
-      catalog.require_signer(cell.config.sa);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "campaign '%s': %s\n", campaign_name, e.what());
-    return 1;
-  }
-  campaign::RunnerOptions opts;
-  opts.samples = sample_count(argc, argv, default_samples);
-  opts.workers = campaign::env_workers(1);
-  opts.time_model = testbed::TimeModel::kMeasured;  // paper-fidelity clock
-
-  campaign::AsciiSink ascii(std::cout);
-  std::vector<campaign::Sink*> sinks{&ascii};
-  std::ofstream jsonl_file;
-  std::optional<campaign::JsonlSink> jsonl;
-  if (argc > 2) {
-    jsonl_file.open(argv[2]);
-    if (!jsonl_file) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", argv[2]);
-      return 1;
-    }
-    jsonl.emplace(jsonl_file);
-    sinks.push_back(&*jsonl);
-  }
-  return campaign::run_campaign(*spec, opts, sinks) == 0 ? 0 : 2;
-}
-
-using KaRow = campaign::AlgRow;
-using SaRow = campaign::AlgRow;
-using LevelCombos = campaign::LevelCombos;
-
-inline const std::vector<KaRow>& table2a_kas() {
-  return campaign::table2a_kas();
-}
-inline const std::vector<SaRow>& table2b_sas() {
-  return campaign::table2b_sas();
-}
-inline const std::vector<LevelCombos>& fig3_levels() {
-  return campaign::fig3_levels();
 }
 
 }  // namespace pqtls::bench

@@ -1,39 +1,39 @@
 // Reproduces Figure 3: the KA/SA independence analysis. For every
-// non-hybrid KA x SA combination per NIST level group, measure the
-// handshake latency under (a) the default OpenSSL buffering behaviour and
-// (b) the optimized immediate-push behaviour, compute the deviation from
-// the independence prediction E(k,s) - M(k,s), and report the improvement
-// of the optimized behaviour (Figure 3c).
+// non-hybrid KA x SA combination per NIST level group, take the handshake
+// latency under (a) the default OpenSSL buffering behaviour and (b) the
+// optimized immediate-push behaviour, compute the deviation from the
+// independence prediction E(k,s) - M(k,s), and report the improvement of
+// the optimized behaviour (Figure 3c).
+//
+// Runs the "fig3" campaign (each level group's grid plus its deviation
+// baselines, under both bufferings) once through an in-memory sink; all
+// three panels read the same medians.
+#include <cmath>
 #include <cstdio>
+#include <map>
 
 #include "analysis/deviation.hpp"
 #include "bench_common.hpp"
 
 namespace {
 
-using pqtls::analysis::LatencyTable;
-
-LatencyTable measure(const std::vector<std::pair<std::string, std::string>>&
-                         combos,
-                     pqtls::tls::Buffering buffering, int samples) {
-  LatencyTable table;
-  for (const auto& [ka, sa] : combos) {
-    pqtls::testbed::ExperimentConfig config;
-    config.ka = ka;
-    config.sa = sa;
-    config.buffering = buffering;
-    config.sample_handshakes = samples;
-    auto r = pqtls::testbed::run_experiment(config);
-    table[{ka, sa}] = r.ok ? r.median_total : -1;
-  }
-  return table;
+void print_header(const pqtls::campaign::LevelCombos& level) {
+  std::printf("  %s:\n", level.label);
+  std::printf("  %-14s", "");
+  for (const char* sa : level.sas) std::printf(" %14s", sa);
+  std::printf("\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 9);
+  // Median total latency per buffering mode, keyed by (ka, sa); a failed
+  // cell reads NaN.
+  std::map<tls::Buffering, analysis::LatencyTable> tables;
+  for (const auto& o : bench::run_measured("fig3", argc, argv, 9))
+    tables[o.cell.config.buffering][{o.cell.config.ka, o.cell.config.sa}] =
+        o.ok() ? o.result.median_total : std::nan("");
 
   for (auto buffering : {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
     const char* mode_label = buffering == tls::Buffering::kDefault
@@ -43,31 +43,17 @@ int main(int argc, char** argv) {
                 "faster than predicted)\n",
                 mode_label);
 
-    for (const auto& level : bench::fig3_levels()) {
-      // Collect the measurements needed: all combos + baselines.
+    for (const auto& level : campaign::fig3_levels()) {
       std::vector<std::pair<std::string, std::string>> combos;
-      std::vector<std::pair<std::string, std::string>> needed;
-      needed.emplace_back("x25519", "rsa:2048");
-      for (const char* ka : level.kas) needed.emplace_back(ka, "rsa:2048");
-      for (const char* sa : level.sas) needed.emplace_back("x25519", sa);
       for (const char* ka : level.kas)
-        for (const char* sa : level.sas) {
-          combos.emplace_back(ka, sa);
-          needed.emplace_back(ka, sa);
-        }
-      LatencyTable table = measure(needed, buffering, samples);
-
-      auto cells = analysis::deviation_analysis(table, combos);
-      std::printf("  %s:\n", level.label);
-      std::printf("  %-14s", "");
-      for (const char* sa : level.sas) std::printf(" %14s", sa);
-      std::printf("\n");
+        for (const char* sa : level.sas) combos.emplace_back(ka, sa);
+      auto cells = analysis::deviation_analysis(tables[buffering], combos);
+      print_header(level);
       std::size_t idx = 0;
       for (const char* ka : level.kas) {
         std::printf("  %-14s", ka);
-        for (std::size_t s = 0; s < level.sas.size(); ++s) {
+        for (std::size_t s = 0; s < level.sas.size(); ++s)
           std::printf(" %+14.2f", cells[idx++].deviation * 1e3);
-        }
         std::printf("\n");
       }
     }
@@ -76,23 +62,14 @@ int main(int argc, char** argv) {
   // Figure 3c: improvement of optimized over default behaviour per combo.
   std::printf("\nFigure 3c: improvement of the optimized behaviour "
               "(M_default - M_optimized in ms; positive = optimized faster)\n");
-  for (const auto& level : bench::fig3_levels()) {
-    std::vector<std::pair<std::string, std::string>> combos;
-    for (const char* ka : level.kas)
-      for (const char* sa : level.sas) combos.emplace_back(ka, sa);
-    LatencyTable def = measure(combos, pqtls::tls::Buffering::kDefault, samples);
-    LatencyTable opt =
-        measure(combos, pqtls::tls::Buffering::kImmediate, samples);
-    std::printf("  %s:\n", level.label);
-    std::printf("  %-14s", "");
-    for (const char* sa : level.sas) std::printf(" %14s", sa);
-    std::printf("\n");
+  const analysis::LatencyTable& def = tables[tls::Buffering::kDefault];
+  const analysis::LatencyTable& opt = tables[tls::Buffering::kImmediate];
+  for (const auto& level : campaign::fig3_levels()) {
+    print_header(level);
     for (const char* ka : level.kas) {
       std::printf("  %-14s", ka);
-      for (const char* sa : level.sas) {
-        double d = def[{ka, sa}], o = opt[{ka, sa}];
-        std::printf(" %+14.2f", (d - o) * 1e3);
-      }
+      for (const char* sa : level.sas)
+        std::printf(" %+14.2f", (def.at({ka, sa}) - opt.at({ka, sa})) * 1e3);
       std::printf("\n");
     }
   }

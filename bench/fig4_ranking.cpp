@@ -12,19 +12,10 @@
 
 int main(int argc, char** argv) {
   using namespace pqtls;
-  const campaign::CampaignSpec* spec = campaign::find_campaign("fig4");
-  campaign::RunnerOptions opts;
-  opts.samples = bench::sample_count(argc, argv, 9);
-  opts.workers = campaign::env_workers(1);
-  opts.time_model = testbed::TimeModel::kMeasured;  // paper-fidelity clock
-
-  campaign::CollectSink collect;
-  campaign::run_campaign(*spec, opts, {&collect});
-
   // The shared x25519/rsa:2048 cell contributes to both rankings, exactly
   // as it appeared in both of the paper's sweeps.
   std::vector<std::pair<std::string, double>> ka_latencies, sa_latencies;
-  for (const auto& outcome : collect.outcomes()) {
+  for (const auto& outcome : bench::run_measured("fig4", argc, argv, 9)) {
     if (!outcome.ok()) continue;
     if (outcome.cell.config.sa == "rsa:2048")
       ka_latencies.emplace_back(outcome.cell.config.ka,

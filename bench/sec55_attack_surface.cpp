@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   std::printf("%-19s %10s %10s %8s | %9s %9s %8s\n", "SA", "Client(B)",
               "Server(B)", "Amplif.", "SrvCPU ms", "CliCPU ms", "CPUratio");
 
-  for (const auto& sa_row : bench::table2b_sas()) {
+  for (const auto& sa_row : campaign::table2b_sas()) {
     testbed::ExperimentConfig config;
     config.ka = "x25519";
     config.sa = sa_row.name;

@@ -2,54 +2,45 @@
 // KA/SA pairs — handshake rate, CPU cost per handshake on server and
 // client, per-library CPU distribution (libcrypto / kernel / libssl / libc /
 // ixgbe / python), and packets sent per handshake.
+//
+// Runs the "table3" campaign (the paper's eight pairs, white-box) through
+// an in-memory sink.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace pqtls;
-  int samples = bench::sample_count(argc, argv, 12);
-
-  struct Pair {
-    const char* level;
-    const char* ka;
-    const char* sa;
-  };
-  // The paper's Table 3 selection.
-  static constexpr Pair kPairs[] = {
-      {"<=2", "x25519", "rsa:2048"},
-      {"<=2", "kyber512", "dilithium2"},
-      {"<=2", "bikel1", "dilithium2"},
-      {"<=2", "kyber512", "sphincs128"},
-      {"<=2", "hqc128", "falcon512"},
-      {"<=2", "p256_kyber512", "p256_dilithium2"},
-      {"3", "kyber768", "dilithium3"},
-      {"5", "kyber1024", "dilithium5"},
-  };
+  std::vector<campaign::CellOutcome> outcomes =
+      bench::run_measured("table3", argc, argv, 12);
 
   std::printf("Table 3: white-box measurements (%d sampled handshakes per "
               "row)\n\n",
-              samples);
+              outcomes.front().cell.config.sample_handshakes);
   std::printf("%-4s %-15s %-17s %6s | %9s %9s | %8s %8s\n", "Lvl", "KA", "SA",
               "HS[1/s]", "SrvCPU ms", "CliCPU ms", "SrvPkts", "CliPkts");
 
-  std::vector<testbed::ExperimentResult> results;
-  for (const auto& pair : kPairs) {
-    testbed::ExperimentConfig config;
-    config.ka = pair.ka;
-    config.sa = pair.sa;
-    config.white_box = true;
-    config.sample_handshakes = samples;
-    testbed::ExperimentResult r = testbed::run_experiment(config);
-    if (!r.ok) {
-      std::printf("%-4s %-15s %-17s FAILED\n", pair.level, pair.ka, pair.sa);
+  const crypto::AlgorithmCatalog& catalog = crypto::AlgorithmCatalog::instance();
+  std::vector<const testbed::ExperimentResult*> results;
+  for (const auto& o : outcomes) {
+    const std::string& ka = o.cell.config.ka;
+    const std::string& sa = o.cell.config.sa;
+    // The paper groups levels one and two.
+    int level = std::max(catalog.require_kem(ka).table_level,
+                         catalog.require_signer(sa).table_level);
+    std::string level_label = level <= 2 ? "<=2" : std::to_string(level);
+    if (!o.ok()) {
+      std::printf("%-4s %-15s %-17s FAILED\n", level_label.c_str(), ka.c_str(),
+                  sa.c_str());
       continue;
     }
+    const testbed::ExperimentResult& r = o.result;
     std::printf("%-4s %-15s %-17s %6.0f | %9.2f %9.2f | %8.1f %8.1f\n",
-                pair.level, pair.ka, pair.sa, r.handshakes_per_second,
-                r.server_cpu_ms, r.client_cpu_ms, r.server_packets,
-                r.client_packets);
-    results.push_back(std::move(r));
+                level_label.c_str(), ka.c_str(), sa.c_str(),
+                r.handshakes_per_second, r.server_cpu_ms, r.client_cpu_ms,
+                r.server_packets, r.client_packets);
+    results.push_back(&r);
   }
 
   std::printf("\nLibrary distribution (%% of CPU time per side)\n");
@@ -63,13 +54,13 @@ int main(int argc, char** argv) {
     std::printf(" |");
   }
   std::printf("\n");
-  for (const auto& r : results) {
-    std::printf("%-15s %-18s |", r.ka.c_str(), r.sa.c_str());
+  for (const testbed::ExperimentResult* r : results) {
+    std::printf("%-15s %-18s |", r->ka.c_str(), r->sa.c_str());
     for (int lib = 0; lib < static_cast<int>(perf::Lib::kCount); ++lib)
-      std::printf(" %5.1f%%", r.server_shares.share[lib] * 100);
+      std::printf(" %5.1f%%", r->server_shares.share[lib] * 100);
     std::printf(" |");
     for (int lib = 0; lib < static_cast<int>(perf::Lib::kCount); ++lib)
-      std::printf(" %5.1f%%", r.client_shares.share[lib] * 100);
+      std::printf(" %5.1f%%", r->client_shares.share[lib] * 100);
     std::printf(" |\n");
   }
   return 0;

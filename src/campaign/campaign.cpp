@@ -92,24 +92,34 @@ CampaignSpec build_table4(const char* name, const char* description,
   return spec;
 }
 
+// Each level group's KA x SA grid plus the three baselines of the
+// independence prediction E(k,s) = M(k, rsa:2048) + M(x25519, s) -
+// M(x25519, rsa:2048) (analysis/deviation.hpp), all under both server
+// buffering modes. A baseline shared between groups (x25519/rsa:2048, and
+// level 1+2's x25519 row, which is part of its own grid) appears once.
 CampaignSpec build_fig3() {
   CampaignSpec spec;
   spec.name = "fig3";
   spec.description =
-      "Figure 3: per-level KA x SA grid under both server buffering modes";
-  for (const auto& level : fig3_levels()) {
-    for (const char* ka : level.kas) {
-      for (const char* sa : level.sas) {
-        for (tls::Buffering buffering :
-             {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
-          Cell cell = make_cell(ka, sa, 9);
-          cell.id += buffering == tls::Buffering::kDefault ? "/buffered"
-                                                           : "/immediate";
-          cell.config.buffering = buffering;
-          spec.cells.push_back(std::move(cell));
-        }
-      }
+      "Figure 3: per-level KA x SA grid plus deviation baselines under both "
+      "server buffering modes";
+  std::set<std::string> seen;
+  auto add = [&](const char* ka, const char* sa) {
+    for (tls::Buffering buffering :
+         {tls::Buffering::kDefault, tls::Buffering::kImmediate}) {
+      Cell cell = make_cell(ka, sa, 9);
+      cell.id += buffering == tls::Buffering::kDefault ? "/buffered"
+                                                       : "/immediate";
+      cell.config.buffering = buffering;
+      if (seen.insert(cell.id).second) spec.cells.push_back(std::move(cell));
     }
+  };
+  for (const auto& level : fig3_levels()) {
+    for (const char* ka : level.kas)
+      for (const char* sa : level.sas) add(ka, sa);
+    add("x25519", "rsa:2048");
+    for (const char* ka : level.kas) add(ka, "rsa:2048");
+    for (const char* sa : level.sas) add("x25519", sa);
   }
   return spec;
 }
@@ -370,20 +380,60 @@ CampaignSpec build_cert_chains() {
   return spec;
 }
 
+// The artifact's all-sphincs experiment: x25519 with every SPHINCS+
+// parameter set, the "f" (fast) and "s" (small) variant at each level.
+CampaignSpec build_sphincs() {
+  CampaignSpec spec;
+  spec.name = "sphincs";
+  spec.description = "SPHINCS+ variant selection: f vs s sets with x25519";
+  for (const char* sa : {"sphincs128", "sphincs128s", "sphincs192",
+                         "sphincs192s", "sphincs256", "sphincs256s"})
+    spec.cells.push_back(make_cell("x25519", sa, 3));
+  return spec;
+}
+
+// The artifact's trace-smoke experiment: the headline pairs under the
+// High Loss (10%) scenario, where traces show drops and retransmissions.
+// Run with --trace-dir; CI validates the emitted JSONL schema and checks
+// that every payload drop pairs with a later retransmission.
+CampaignSpec build_trace_smoke() {
+  CampaignSpec spec;
+  spec.name = "trace_smoke";
+  spec.description = "Headline pairs under 10% loss, for traced smoke runs";
+  const testbed::Scenario& high_loss =
+      testbed::standard_scenarios()[1];  // "High Loss (10%)"
+  static constexpr const char* kPairs[][2] = {
+      {"x25519", "rsa:2048"},     {"kyber512", "dilithium2"},
+      {"kyber512", "falcon512"},  {"kyber512", "sphincs128"},
+      {"kyber768", "dilithium3"},
+  };
+  for (const auto& pair : kPairs) {
+    Cell cell = make_cell(pair[0], pair[1], 9);
+    cell.id += "/" + scenario_slug(high_loss.name);
+    cell.scenario = high_loss.name;
+    cell.config.netem = high_loss.netem;
+    spec.cells.push_back(std::move(cell));
+  }
+  return spec;
+}
+
 CampaignSpec build_all(const std::vector<CampaignSpec>& others) {
   CampaignSpec spec;
   spec.name = "all";
   spec.description =
-      "Union of every built-in handshake campaign (deduplicated by id; "
-      "loadgen and resumption campaigns emit differently-keyed rows and "
-      "stay separate)";
+      "Union of the paper's handshake campaigns (deduplicated by id; "
+      "loadgen, resumption, cert_chains, sphincs and trace_smoke stay "
+      "separate)";
   std::set<std::string> seen;
   for (const auto& other : others) {
     // The resumption campaign's /full cells would duplicate plain cells
     // under a different id (and thus a different derived seed); keep the
     // union limited to the paper's full-handshake campaigns. The hierarchy
-    // campaign likewise measures non-paper chain variants.
-    if (other.name == "resumption" || other.name == "cert_chains") continue;
+    // campaign likewise measures non-paper chain variants, and sphincs and
+    // trace_smoke reuse table2b/table4a ids at other sample counts.
+    if (other.name == "resumption" || other.name == "cert_chains" ||
+        other.name == "sphincs" || other.name == "trace_smoke")
+      continue;
     for (const auto& cell : other.cells)
       if (!cell.loadgen && seen.insert(cell.id).second)
         spec.cells.push_back(cell);
@@ -419,6 +469,8 @@ const std::vector<CampaignSpec>& campaigns() {
     out.push_back(build_fleet());
     out.push_back(build_resumption());
     out.push_back(build_cert_chains());
+    out.push_back(build_sphincs());
+    out.push_back(build_trace_smoke());
     out.push_back(build_all(out));
     return out;
   }();

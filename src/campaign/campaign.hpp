@@ -3,7 +3,8 @@
 // The id is the cell's identity across runs — the runner derives the cell's
 // seed from it, result rows carry it, and the `all` campaign deduplicates
 // on it. Built-in campaigns cover the paper's artifacts (Tables 2a/2b/3/
-// 4a/4b, Figures 3/4).
+// 4a/4b, Figures 3/4, and the appendix's all-sphincs and trace-smoke
+// experiments).
 #pragma once
 
 #include <optional>

@@ -34,12 +34,13 @@ std::uint64_t derive_cell_seed(std::uint64_t base_seed,
 
 namespace {
 
-// Cell ids are paths like "table4a/kyber512-sphincs128-high-loss"; flatten
-// them into single filenames.
+// Cell ids are paths like "x25519/rsa:2048/high-loss-10"; flatten them into
+// portable single filenames ("x25519-rsa-2048-high-loss-10"): ':' is not
+// allowed in file names on every platform or by every artifact uploader.
 std::string trace_file_stem(std::string_view cell_id) {
   std::string stem;
   stem.reserve(cell_id.size());
-  for (char ch : cell_id) stem.push_back(ch == '/' ? '-' : ch);
+  for (char ch : cell_id) stem.push_back(ch == '/' || ch == ':' ? '-' : ch);
   return stem;
 }
 

@@ -33,7 +33,7 @@ struct RunnerOptions {
   /// When non-empty, record a flight trace of the FIRST sample of every
   /// testbed cell and write `<id>.jsonl` (golden-schema JSONL) plus
   /// `<id>.trace.json` (Chrome trace-event JSON, loadable in Perfetto)
-  /// into this directory; `/` in cell ids becomes `-`. Empty (the
+  /// into this directory; `/` and `:` in cell ids become `-`. Empty (the
   /// default) installs no recorder, keeping campaign rows byte-identical
   /// to an untraced run.
   std::string trace_dir;

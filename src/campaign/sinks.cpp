@@ -18,12 +18,14 @@ namespace {
 // (equal rows at any worker count) depends on. Non-finite values (the
 // engines report NaN percentiles for a window with zero completions)
 // canonicalize to "nan" — platform printf would emit "nan"/"-nan"/"nan(…)".
-std::string fmt_ms(double seconds) {
-  if (!std::isfinite(seconds)) return "nan";
+std::string fmt_fixed(double value) {
+  if (!std::isfinite(value)) return "nan";
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", seconds * 1e3);
+  std::snprintf(buf, sizeof(buf), "%.6f", value);
   return buf;
 }
+
+std::string fmt_ms(double seconds) { return fmt_fixed(seconds * 1e3); }
 
 // JSON has no NaN literal; empty windows serialize as null.
 std::string fmt_ms_json(double seconds) {
@@ -52,9 +54,7 @@ std::string json_escape(std::string_view text) {
   return out;
 }
 
-std::string csv_escape(std::string_view text) {
-  if (text.find_first_of(",\"\n") == std::string_view::npos)
-    return std::string(text);
+std::string csv_quote(std::string_view text) {
   std::string out = "\"";
   for (char ch : text) {
     if (ch == '"') out += "\"\"";
@@ -62,6 +62,12 @@ std::string csv_escape(std::string_view text) {
   }
   out += "\"";
   return out;
+}
+
+std::string csv_escape(std::string_view text) {
+  if (text.find_first_of(",\"\n") == std::string_view::npos)
+    return std::string(text);
+  return csv_quote(text);
 }
 
 // Loadgen rates and ratios, fixed-precision for byte-stable rows.
@@ -252,6 +258,25 @@ void CsvSink::cell(const CellOutcome& o) {
        << fmt_ms(r.median_part_b) << ',' << fmt_ms(r.median_total) << ','
        << r.client_bytes << ',' << r.server_bytes << ','
        << r.total_handshakes_60s << '\n';
+}
+
+void ArtifactCsvSink::begin(const CampaignSpec&, const RunnerOptions&) {
+  out_ << "kem,sig,scenario,partAMedian,partBMedian,partAllMedian,"
+          "clientBytes,serverBytes,total60s,serverCpuMs,clientCpuMs\n";
+}
+
+void ArtifactCsvSink::cell(const CellOutcome& o) {
+  if (o.cell.loadgen || !o.ok()) return;
+  const auto& c = o.cell.config;
+  const auto& r = o.result;
+  out_ << csv_escape(c.ka) << ',' << csv_escape(c.sa) << ','
+       << csv_quote(o.cell.scenario.empty() ? "No Emulation"
+                                            : o.cell.scenario)
+       << ',' << fmt_ms(r.median_part_a) << ',' << fmt_ms(r.median_part_b)
+       << ',' << fmt_ms(r.median_total) << ',' << r.client_bytes << ','
+       << r.server_bytes << ',' << r.total_handshakes_60s << ','
+       << fmt_fixed(r.server_cpu_ms) << ',' << fmt_fixed(r.client_cpu_ms)
+       << '\n';
 }
 
 void AsciiSink::begin(const CampaignSpec& spec, const RunnerOptions& opts) {

@@ -1,12 +1,12 @@
 // Result sinks for the campaign runner: machine-readable JSONL and CSV
 // streams with a fixed schema (ka, sa, scenario, latency medians, data
-// volumes, 60 s handshake rate, seed, ok flag), a human-readable ASCII
-// renderer, and an in-memory collector for programmatic consumers (the
-// converted bench binaries). Loadgen cells emit their own fixed row shape
-// (offered/achieved/capacity rates, latency percentiles, queue depth,
-// drop/timeout counts) — both schemas are golden-file locked. All numeric
-// formatting is locale-independent and fixed-precision so equal results
-// serialize to equal bytes.
+// volumes, 60 s handshake rate, seed, ok flag), the paper artifact's
+// latencies.csv layout, a human-readable ASCII renderer, and an in-memory
+// collector for programmatic consumers (the bench binaries). Loadgen cells
+// emit their own fixed row shape (offered/achieved/capacity rates, latency
+// percentiles, queue depth, drop/timeout counts) — every schema is
+// golden-file locked. All numeric formatting is locale-independent and
+// fixed-precision so equal results serialize to equal bytes.
 #pragma once
 
 #include <ostream>
@@ -44,6 +44,22 @@ class CsvSink : public Sink {
  private:
   std::ostream& out_;
   bool batch_ = false;  // campaign sweeps server-side batching -> batch column
+};
+
+/// The paper artifact's `latencies.csv` layout (appendix B.6/B.7): header
+/// `kem,sig,scenario,partAMedian,partBMedian,partAllMedian,clientBytes,
+/// serverBytes,total60s,serverCpuMs,clientCpuMs`, one row per completed
+/// testbed cell, latencies in milliseconds. The scenario is always quoted
+/// and an empty one prints as "No Emulation". Failed cells are left out, as
+/// the artifact's driver left them out; loadgen cells have no such row.
+class ArtifactCsvSink : public Sink {
+ public:
+  explicit ArtifactCsvSink(std::ostream& out) : out_(out) {}
+  void begin(const CampaignSpec& spec, const RunnerOptions& opts) override;
+  void cell(const CellOutcome& outcome) override;
+
+ private:
+  std::ostream& out_;
 };
 
 /// Human-readable rendering honouring the campaign's AsciiLayout: one row

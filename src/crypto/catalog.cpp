@@ -88,6 +88,7 @@ AlgorithmCatalog::AlgorithmCatalog() {
         table_level_of(info.name, info.hybrid, info.nist_level, info.kind);
     info.public_key_bytes = k->public_key_size();
     info.ciphertext_bytes = k->ciphertext_size();
+    info.codepoint = static_cast<std::uint16_t>(0x0100 + kems_.size());
     info.kem = k;
     kems_.push_back(std::move(info));
   }
@@ -106,6 +107,7 @@ AlgorithmCatalog::AlgorithmCatalog() {
     info.public_key_bytes = s->public_key_size();
     info.signature_bytes = s->signature_size();
     info.cert_chain_bytes = chain_wire_bytes(*s);
+    info.codepoint = static_cast<std::uint16_t>(0x0200 + signers_.size());
     info.signer = s;
     signers_.push_back(std::move(info));
   }

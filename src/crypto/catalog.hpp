@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,13 @@ struct AlgorithmInfo {
   std::size_t ciphertext_bytes = 0;  // KEMs only
   std::size_t signature_bytes = 0;   // signers only
   std::size_t cert_chain_bytes = 0;  // signers only
+
+  // Synthetic TLS codepoint (the OQS fork likewise assigns private-range
+  // codepoints per algorithm): named group 0x0100 + KEM index, signature
+  // scheme 0x0200 + signer index, in registry order. tls::group_id and
+  // tls::scheme_id resolve a primitive to this value by name, so a
+  // decorator forwarding name() negotiates as the algorithm it wraps.
+  std::uint16_t codepoint = 0;
 
   // Exactly one of these is non-null, matching `kind`.
   const kem::Kem* kem = nullptr;

@@ -407,11 +407,15 @@ void ClientConnection::on_retry_request(const ServerHello& hrr, BytesView full,
   // share's group and demands another one we advertised.
   if (hrr_seen_) return fail_alert(sink);  // at most one retry
   hrr_seen_ = true;
-  const kem::Kem* requested_ka = group_by_id(hrr.key_share_group);
-  bool offered = requested_ka == config_.ka;
+  // Match by codepoint, not by registry pointer, so a configured wrapper
+  // around a registry KEM stays the one that runs.
+  const kem::Kem* requested_ka = nullptr;
+  if (hrr.key_share_group == group_id(*config_.ka)) requested_ka = config_.ka;
   for (const kem::Kem* extra : config_.also_supported)
-    offered = offered || requested_ka == extra;
-  if (!requested_ka || !offered) return fail_alert(sink);
+    if (!requested_ka && hrr.key_share_group == group_id(*extra))
+      requested_ka = extra;
+  if (!requested_ka || !group_by_id(hrr.key_share_group))
+    return fail_alert(sink);
   active_ka_ = requested_ka;
   // If the declined flight carried 0-RTT data the write side holds the
   // early keys; the retried ClientHello must go out in plaintext.
@@ -525,12 +529,15 @@ void ClientConnection::on_certificate_verify(BytesView body, BytesView full,
                                              const FlightSink& sink) {
   std::optional<CertificateVerify> cv = parse_certificate_verify(body);
   if (!cv) return fail_alert(sink);
-  const sig::Signer* signer = scheme_by_id(cv->scheme);
-  if (!signer || signer != config_.sa) return fail_alert(sink);
+  // The scheme must be the configured one, and a registered one (a signer
+  // without a codepoint never authenticates); verification then runs on
+  // the configured signer itself, which may wrap the registry entry.
+  if (cv->scheme != scheme_id(*config_.sa) || !scheme_by_id(cv->scheme))
+    return fail_alert(sink);
   bool ok;
   {
     Scope scope(profiler_, Lib::kLibcrypto);
-    ok = verify_certificate_verify(*signer,
+    ok = verify_certificate_verify(*config_.sa,
                                    peer_chain_.certificates[0].subject_public_key,
                                    key_schedule_.transcript_hash(),
                                    cv->signature);
@@ -546,7 +553,7 @@ void ClientConnection::on_certificate_verify(BytesView body, BytesView full,
       merkle_used_ ? 1 : 1 + peer_chain_.certificates.size();
   if (costs_)
     charge(static_cast<double>(verifications) *
-           costs_->verify(signer->name()));
+           costs_->verify(config_.sa->name()));
   if (!ok) return fail_alert(sink);
   key_schedule_.update_transcript(full);
   state_ = State::kWaitFinished;

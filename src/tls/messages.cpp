@@ -1,5 +1,6 @@
 #include "tls/messages.hpp"
 
+#include "crypto/catalog.hpp"
 #include "crypto/sha2.hpp"
 #include "tls/cert_compress.hpp"
 #include "tls/wire.hpp"
@@ -26,29 +27,27 @@ std::optional<std::vector<std::uint16_t>> parse_u16_list(BytesView ext_data) {
 }  // namespace
 
 std::uint16_t group_id(const kem::Kem& ka) {
-  const auto& kems = kem::all_kems();
-  for (std::size_t i = 0; i < kems.size(); ++i)
-    if (kems[i] == &ka) return static_cast<std::uint16_t>(0x0100 + i);
-  return 0x01ff;
+  const crypto::AlgorithmInfo* info =
+      crypto::AlgorithmCatalog::instance().kem(ka.name());
+  return info ? info->codepoint : 0x01ff;
 }
 
 const kem::Kem* group_by_id(std::uint16_t id) {
-  const auto& kems = kem::all_kems();
-  std::size_t idx = id - 0x0100;
-  return idx < kems.size() ? kems[idx] : nullptr;
+  const auto& kems = crypto::AlgorithmCatalog::instance().kems();
+  std::size_t idx = id - 0x0100u;
+  return idx < kems.size() ? kems[idx].kem : nullptr;
 }
 
 std::uint16_t scheme_id(const sig::Signer& sa) {
-  const auto& sigs = sig::all_signers();
-  for (std::size_t i = 0; i < sigs.size(); ++i)
-    if (sigs[i] == &sa) return static_cast<std::uint16_t>(0x0200 + i);
-  return 0x02ff;
+  const crypto::AlgorithmInfo* info =
+      crypto::AlgorithmCatalog::instance().signer(sa.name());
+  return info ? info->codepoint : 0x02ff;
 }
 
 const sig::Signer* scheme_by_id(std::uint16_t id) {
-  const auto& sigs = sig::all_signers();
-  std::size_t idx = id - 0x0200;
-  return idx < sigs.size() ? sigs[idx] : nullptr;
+  const auto& sigs = crypto::AlgorithmCatalog::instance().signers();
+  std::size_t idx = id - 0x0200u;
+  return idx < sigs.size() ? sigs[idx].signer : nullptr;
 }
 
 Bytes handshake_message(HandshakeType type, BytesView body) {

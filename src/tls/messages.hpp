@@ -59,9 +59,12 @@ constexpr std::uint16_t kLegacyVersion = 0x0303;
 constexpr std::uint16_t kTls13 = 0x0304;
 constexpr std::uint16_t kAes128GcmSha256 = 0x1301;
 
-// Stable synthetic codepoints for the negotiated algorithms (the OQS fork
-// likewise assigns private-range codepoints per algorithm): groups are
-// 0x0100 + KEM registry index, signature schemes 0x0200 + signer index.
+// Stable synthetic codepoints for the negotiated algorithms, taken from the
+// AlgorithmCatalog (AlgorithmInfo::codepoint: groups 0x0100 + KEM index,
+// signature schemes 0x0200 + signer index). The *_id functions resolve by
+// name, so a wrapper around a registry primitive gets that primitive's
+// codepoint; unknown names map to 0x01ff / 0x02ff. The *_by_id functions
+// return the catalog's registry primitive, or nullptr for an unknown id.
 std::uint16_t group_id(const kem::Kem& ka);
 const kem::Kem* group_by_id(std::uint16_t id);
 std::uint16_t scheme_id(const sig::Signer& sa);

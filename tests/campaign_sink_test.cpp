@@ -151,5 +151,25 @@ TEST(CampaignSinks, LoadgenCsvMatchesGolden) {
   EXPECT_EQ(out.str(), read_golden("loadgen_rows.csv"));
 }
 
+// The artifact layout keeps completed testbed cells only: the failed and
+// the loadgen outcome leave no row, and the empty scenario of the first
+// cell prints as "No Emulation".
+TEST(CampaignSinks, ArtifactCsvMatchesGolden) {
+  CellOutcome lossy = ok_outcome();
+  lossy.cell.id = "x25519/rsa:2048/high-loss-10";
+  lossy.cell.scenario = "High Loss (10%)";
+  lossy.result.server_cpu_ms = 1.5;
+  lossy.result.client_cpu_ms = 0.8125;
+  std::ostringstream out;
+  ArtifactCsvSink sink(out);
+  sink.begin(CampaignSpec{}, RunnerOptions{});
+  sink.cell(ok_outcome());
+  sink.cell(failed_outcome());
+  sink.cell(lossy);
+  sink.cell(loadgen_ok_outcome());
+  sink.finish();
+  EXPECT_EQ(out.str(), read_golden("artifact_latencies.csv"));
+}
+
 }  // namespace
 }  // namespace pqtls::campaign

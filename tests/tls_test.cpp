@@ -7,6 +7,7 @@
 #include "pki/certificate.hpp"
 #include "sig/sig.hpp"
 #include "tls/connection.hpp"
+#include "tls/messages.hpp"
 
 namespace pqtls::tls {
 namespace {
@@ -160,6 +161,62 @@ HandshakeResult run_handshake(const HandshakeSetup& setup,
   result.ok = client.handshake_complete() && server.handshake_complete() &&
               !client.failed() && !server.failed();
   return result;
+}
+
+// A decorator that forwards every operation to a registry signer and counts
+// sign and verify calls, the way an instrumenting benchmark would install it.
+class CountingSigner : public sig::Signer {
+ public:
+  explicit CountingSigner(const sig::Signer& inner) : inner_(inner) {}
+  const std::string& name() const override { return inner_.name(); }
+  int security_level() const override { return inner_.security_level(); }
+  bool is_hybrid() const override { return inner_.is_hybrid(); }
+  bool is_post_quantum() const override { return inner_.is_post_quantum(); }
+  std::size_t public_key_size() const override {
+    return inner_.public_key_size();
+  }
+  std::size_t secret_key_size() const override {
+    return inner_.secret_key_size();
+  }
+  std::size_t signature_size() const override {
+    return inner_.signature_size();
+  }
+  sig::SigKeyPair generate_keypair(Drbg& rng) const override {
+    return inner_.generate_keypair(rng);
+  }
+  Bytes sign(BytesView secret_key, BytesView message,
+             Drbg& rng) const override {
+    ++signs;
+    return inner_.sign(secret_key, message, rng);
+  }
+  bool verify(BytesView public_key, BytesView message,
+              BytesView signature) const override {
+    ++verifies;
+    return inner_.verify(public_key, message, signature);
+  }
+
+  mutable int signs = 0;
+  mutable int verifies = 0;
+
+ private:
+  const sig::Signer& inner_;
+};
+
+// Wire codepoints come from the catalog by name, so a wrapper negotiates
+// as the algorithm it wraps and runs in place of it on both sides.
+TEST(TlsHandshake, WrappedSignerKeepsSchemeIdAndCompletes) {
+  const sig::Signer& dilithium2 = *sig::find_signer("dilithium2");
+  CountingSigner wrapped(dilithium2);
+  EXPECT_EQ(scheme_id(wrapped), scheme_id(dilithium2));
+  EXPECT_EQ(scheme_by_id(scheme_id(wrapped)), &dilithium2);
+
+  HandshakeSetup setup =
+      make_setup("kyber512", "dilithium2", Buffering::kImmediate);
+  setup.server.sa = &wrapped;
+  setup.client.sa = &wrapped;
+  EXPECT_TRUE(run_handshake(setup).ok);
+  EXPECT_EQ(wrapped.signs, 1);     // server CertificateVerify
+  EXPECT_EQ(wrapped.verifies, 1);  // client CertificateVerify check
 }
 
 struct HandshakeCase {

@@ -5,13 +5,13 @@
 //   pqtls_campaign list
 //   pqtls_campaign table2a --workers 4 --samples 3 --out results.jsonl
 //   pqtls_campaign all --seed 7 --csv results.csv --ascii
+//   pqtls_campaign table2a --measured --artifact all-kem-latencies.csv
 //
 // Defaults to modeled time, which makes the emitted rows bit-identical for
 // a given (campaign, base seed, sample count) at any worker count; pass
 // --measured for the paper-fidelity wall-time clock. Exit code: 0 = all
 // cells ok, 1 = usage error, 2 = at least one cell failed or timed out.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -121,8 +121,10 @@ int usage(const char* argv0) {
       "  --seed S              campaign base seed (default 0x715b3d)\n"
       "  --out PATH            write JSONL rows to PATH ('-' = stdout)\n"
       "  --csv PATH            write CSV rows to PATH ('-' = stdout)\n"
+      "  --artifact PATH       write the paper artifact's latencies.csv\n"
+      "                        columns to PATH ('-' = stdout)\n"
       "  --ascii               render the human-readable table on stdout\n"
-      "                        (default when neither --out nor --csv given)\n"
+      "                        (default when no other output is given)\n"
       "  --measured            paper-fidelity measured time instead of the\n"
       "                        deterministic modeled clock\n"
       "  --max-cell-seconds X  per-cell wall budget; slow cells are recorded\n"
@@ -165,7 +167,7 @@ int main(int argc, char** argv) {
   opts.workers = campaign::env_workers(1);
   opts.samples = campaign::env_samples(0);
   opts.progress = true;
-  std::string jsonl_path, csv_path;
+  std::string jsonl_path, csv_path, artifact_path;
   bool ascii = false;
   bool meta = false;
 
@@ -190,14 +192,17 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (!v) return usage(argv[0]);
       csv_path = v;
+    } else if (arg == "--artifact") {
+      const char* v = value();
+      if (!v) return usage(argv[0]);
+      artifact_path = v;
     } else if (arg == "--ascii") {
       ascii = true;
     } else if (arg == "--measured") {
       opts.time_model = testbed::TimeModel::kMeasured;
     } else if (arg == "--max-cell-seconds") {
-      const char* v = value();
-      opts.max_cell_seconds =
-          v ? std::atof(v) : opts.max_cell_seconds;
+      opts.max_cell_seconds = campaign::double_or(
+          value(), opts.max_cell_seconds, "--max-cell-seconds");
     } else if (arg == "--trace-dir") {
       const char* v = value();
       if (!v) return usage(argv[0]);
@@ -219,36 +224,36 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (jsonl_path.empty() && csv_path.empty()) ascii = true;
+  if (jsonl_path.empty() && csv_path.empty() && artifact_path.empty())
+    ascii = true;
 
+  // Output streams: '-' is stdout, anything else a file this run owns.
+  std::vector<std::unique_ptr<std::ofstream>> files;
+  auto open_out = [&](const std::string& path) -> std::ostream* {
+    if (path == "-") return &std::cout;
+    files.push_back(std::make_unique<std::ofstream>(path));
+    if (!*files.back()) {
+      std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
+      return nullptr;
+    }
+    return files.back().get();
+  };
   std::vector<std::unique_ptr<campaign::Sink>> owned;
   std::vector<campaign::Sink*> sinks;
-  std::ofstream jsonl_file, csv_file;
   if (!jsonl_path.empty()) {
-    std::ostream* out = &std::cout;
-    if (jsonl_path != "-") {
-      jsonl_file.open(jsonl_path);
-      if (!jsonl_file) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     jsonl_path.c_str());
-        return 1;
-      }
-      out = &jsonl_file;
-    }
+    std::ostream* out = open_out(jsonl_path);
+    if (!out) return 1;
     owned.push_back(std::make_unique<campaign::JsonlSink>(*out, meta));
   }
   if (!csv_path.empty()) {
-    std::ostream* out = &std::cout;
-    if (csv_path != "-") {
-      csv_file.open(csv_path);
-      if (!csv_file) {
-        std::fprintf(stderr, "cannot open '%s' for writing\n",
-                     csv_path.c_str());
-        return 1;
-      }
-      out = &csv_file;
-    }
+    std::ostream* out = open_out(csv_path);
+    if (!out) return 1;
     owned.push_back(std::make_unique<campaign::CsvSink>(*out));
+  }
+  if (!artifact_path.empty()) {
+    std::ostream* out = open_out(artifact_path);
+    if (!out) return 1;
+    owned.push_back(std::make_unique<campaign::ArtifactCsvSink>(*out));
   }
   if (ascii) owned.push_back(std::make_unique<campaign::AsciiSink>(std::cout));
   for (const auto& sink : owned) sinks.push_back(sink.get());
